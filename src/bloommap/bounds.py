@@ -32,6 +32,11 @@ __all__ = [
 LOG2E = math.log2(math.e)
 
 
+def _check_epsilon(epsilon: float) -> None:
+    if not (0.0 < epsilon < 1.0):
+        raise InvalidEpsilon(f"error budget must lie in (0, 1), got {epsilon!r}")
+
+
 def _xlog2x(x: float) -> float:
     return 0.0 if x == 0.0 else x * math.log2(x)
 
@@ -98,8 +103,7 @@ def lb_symmetric(eps: float, entropy_bits: float) -> float:
     for eps up to the root of ln(1 - e) = -(e + e**2), about 0.684, which
     covers every budget of at most 1/8 that the closed forms are meant for.
     """
-    if not (0.0 < eps < 1.0):
-        raise InvalidEpsilon(f"error budget must lie in (0, 1), got {eps!r}")
+    _check_epsilon(eps)
     if entropy_bits < 0.0:
         raise ValueError(f"negative entropy {entropy_bits!r}")
     return (1.0 - eps) * (

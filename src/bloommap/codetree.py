@@ -16,7 +16,8 @@ import warnings
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import InvalidEpsilon, InvalidScheme
+from .bounds import LOG2E, _check_epsilon
+from .errors import InvalidScheme
 
 __all__ = [
     "CodeTree",
@@ -31,13 +32,11 @@ __all__ = [
     "certify_error_bounds",
     "compute_geometry",
     "refresh_base_starts",
-    "path_nodes",
     "left_branch_count",
     "tree_property_report",
     "SCHEMES",
 ]
 
-LOG2E = math.log2(math.e)
 SCHEMES = ("standard", "fast", "custom")
 
 
@@ -260,11 +259,6 @@ def _leaf_floor(epsilon: float) -> int:
     return max(math.ceil(math.log2(1.0 / epsilon)), 1)
 
 
-def _check_epsilon(epsilon: float) -> None:
-    if not (0.0 < epsilon < 1.0):
-        raise InvalidEpsilon(f"error budget must lie in (0, 1), got {epsilon!r}")
-
-
 def _scheme_counts(tree: CodeTree, epsilon: float, scheme: str, custom) -> None:
     b = tree.b
     if scheme == "standard":
@@ -460,11 +454,6 @@ def compute_geometry(tree: CodeTree, counts, epsilon: float) -> Geometry:
 
 
 # -- paths ------------------------------------------------------------
-
-
-def path_nodes(tree: CodeTree, value_index: int) -> tuple[TreeNode, ...]:
-    """Nodes from the root down to the leaf of value_index."""
-    return tuple(tree.nodes[w] for w in tree.path_ids(value_index))
 
 
 def left_branch_count(tree: CodeTree, value_index: int) -> int:

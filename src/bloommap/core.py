@@ -15,12 +15,14 @@ from __future__ import annotations
 import math
 from collections import defaultdict
 from dataclasses import dataclass
+from itertools import accumulate
 
 import numpy as np
 
 from . import codetree
+from .bounds import LOG2E, _check_epsilon
 from .distribution import ValueDistribution, entropy
-from .errors import DuplicateKey, FrozenError, InvalidEpsilon
+from .errors import DuplicateKey, FrozenError
 from .hashing import HashFamily, pack_keys
 
 __all__ = [
@@ -33,11 +35,7 @@ __all__ = [
     "simple_hash_counts",
     "simple_analytic_bounds",
     "zero_fraction",
-    "TREE_VARIANTS",
 ]
-
-LOG2E = math.log2(math.e)
-TREE_VARIANTS = ("standard", "fast", "custom")
 
 
 class BitArray:
@@ -139,11 +137,6 @@ def simple_analytic_bounds(ks) -> tuple[float, tuple[float, ...]]:
     return fp, mis
 
 
-def _check_epsilon(epsilon: float) -> None:
-    if not (0.0 < epsilon < 1.0):
-        raise InvalidEpsilon(f"error budget must lie in (0, 1), got {epsilon!r}")
-
-
 def _as_key(key) -> bytes:
     if isinstance(key, bytes):
         return key
@@ -160,26 +153,36 @@ class BloomMap:
     with store(), and frozen; the flat variant is built in one shot by
     build_simple.  Frozen maps never mutate and may be queried from any
     number of threads.
+
+    _paths is the single description of the bits a value's key touches:
+    entry i lists value i's (base_start, k, offset) segments, one per node
+    on its root-to-leaf path, or the one segment (start_i, k_i, 0) of its
+    flat block.  The key then touches bit (base_hash(base_start + j, key)
+    + offset) % m for j = 1..k of every segment; the level-order offset
+    keeps sibling subtrees that reuse base indices decorrelated.  Storing,
+    the flat query and the size of the hash family all read it.
     """
 
     def __init__(self, *, variant: str, dist: ValueDistribution, epsilon: float,
-                 family: HashFamily, bits: BitArray, tree=None,
+                 seed: int, bits: BitArray, tree=None,
                  simple_ks: tuple[int, ...] | None = None, n: int = 0):
         self.variant = variant
         self.dist = dist
         self.epsilon = epsilon
-        self.family = family
         self.bits = bits
         self.tree = tree
         self.simple_ks = simple_ks
         self.n = n
-        if simple_ks is not None:
-            starts = [0]
-            for k in simple_ks:
-                starts.append(starts[-1] + k)
-            self._simple_starts = tuple(starts)
+        if tree is not None:
+            segments = [(node.base_start, node.k, node.offset) for node in tree.nodes]
+            self._paths = tuple(
+                tuple(segments[w] for w in tree.path_ids(i)) for i in range(tree.b)
+            )
         else:
-            self._simple_starts = None
+            starts = accumulate(simple_ks, initial=0)
+            self._paths = tuple(((start, k, 0),) for start, k in zip(starts, simple_ks))
+        size = max(start + k for path in self._paths for start, k, _ in path)
+        self.family = HashFamily(seed, bits.m, size)
         self._pending: dict[bytes, int] | None = None if bits.frozen else {}
 
     # -- shared geometry ----------------------------------------------
@@ -226,51 +229,26 @@ class BloomMap:
         key = _as_key(key)
         if not self._note_pair(key, value_index):
             return
-        m = self.family.m
-        for w in self.tree.path_ids(value_index):
-            node = self.tree.nodes[w]
-            for j in range(1, node.k + 1):
-                pos = (self.family.base_hash(node.base_start + j, key) + node.offset) % m
-                self.bits.set_bit(pos)
+        m = self.m
+        for start, k, offset in self._paths[value_index]:
+            for j in range(start + 1, start + k + 1):
+                self.bits.set_bit((self.family.base_hash(j, key) + offset) % m)
 
     def _store_batch(self, pairs_by_value: dict[int, list[bytes]]) -> None:
         """Vectorized bulk store; bit-identical to repeated store() calls."""
         chunks: list[np.ndarray] = []
-        m = self.family.m
-        use_batch = m < (1 << 32)
+        m = np.uint64(self.m)
         for value_index, keys in pairs_by_value.items():
-            fresh = [k for k in keys if self._note_pair(k, value_index)]
-            if not fresh:
-                continue
             by_len: dict[int, list[bytes]] = defaultdict(list)
-            for k in fresh:
-                by_len[len(k)].append(k)
-            if self.tree is not None:
-                plan = [
-                    (self.tree.nodes[w].base_start, self.tree.nodes[w].k,
-                     self.tree.nodes[w].offset)
-                    for w in self.tree.path_ids(value_index)
-                ]
-            else:
-                start = self._simple_starts[value_index]
-                plan = [(start, self.simple_ks[value_index], 0)]
+            for key in keys:
+                if self._note_pair(key, value_index):
+                    by_len[len(key)].append(key)
             for bucket in by_len.values():
-                if use_batch:
-                    words, length = pack_keys(bucket)
-                    for base_start, k, offset in plan:
-                        off = np.uint64(offset)
-                        m64 = np.uint64(m)
-                        for j in range(1, k + 1):
-                            pos = self.family.base_hash_batch(base_start + j, words, length)
-                            if offset:
-                                pos = (pos + off) % m64
-                            chunks.append(pos)
-                else:
-                    for key in bucket:
-                        for base_start, k, offset in plan:
-                            for j in range(1, k + 1):
-                                pos = (self.family.base_hash(base_start + j, key) + offset) % m
-                                self.bits.set_bit(pos)
+                words, length = pack_keys(bucket)
+                for start, k, offset in self._paths[value_index]:
+                    for j in range(start + 1, start + k + 1):
+                        pos = self.family.base_hash_batch(j, words, length)
+                        chunks.append((pos + np.uint64(offset)) % m if offset else pos)
         if chunks:
             self.bits.set_many(np.concatenate(chunks))
 
@@ -296,21 +274,16 @@ class BloomMap:
         bits = self.bits
         family = self.family
         probes = 0
-        evals = 0
         best = None
-        for i in range(self.b):
-            start = self._simple_starts[i]
-            hit = True
-            for j in range(1, self.simple_ks[i] + 1):
-                pos = family.base_hash(start + j, key)
-                evals += 1
+        # a flat path is one segment with offset 0
+        for i, ((start, k, _),) in enumerate(self._paths):
+            for j in range(start + 1, start + k + 1):
                 probes += 1
-                if not bits.get_bit(pos):
-                    hit = False
+                if not bits.get_bit(family.base_hash(j, key)):
                     break
-            if hit:
+            else:
                 best = i
-        return self._outcome(best, probes, evals)
+        return self._outcome(best, probes, probes)
 
     def _query_tree(self, key: bytes) -> QueryOutcome:
         bits = self.bits
@@ -374,9 +347,8 @@ def build_simple(pairs, dist: ValueDistribution, epsilon: float, seed: int) -> B
     n = len({k for keys in grouped.values() for k in keys})
     ks = simple_hash_counts(dist, epsilon)
     m = math.ceil(n * LOG2E * (math.log2(1.0 / epsilon) + entropy(dist)))
-    family = HashFamily(seed, m, sum(ks))
     bmap = BloomMap(
-        variant="simple", dist=dist, epsilon=epsilon, family=family,
+        variant="simple", dist=dist, epsilon=epsilon, seed=seed,
         bits=BitArray(m), simple_ks=ks,
     )
     bmap._store_batch(grouped)
@@ -405,9 +377,8 @@ def plan_tree_map(dist: ValueDistribution, epsilon: float, seed: int,
     codetree.assign_offsets(tree)
     codetree.assign_hash_counts(tree, epsilon, scheme, custom=custom)
     geom = codetree.compute_geometry(tree, counts, epsilon)
-    family = HashFamily(seed, geom.m, geom.k)
     return BloomMap(
-        variant=scheme, dist=dist, epsilon=epsilon, family=family,
+        variant=scheme, dist=dist, epsilon=epsilon, seed=seed,
         bits=BitArray(geom.m), tree=tree,
     )
 

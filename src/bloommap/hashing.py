@@ -7,15 +7,15 @@ rounds), so distinct j always give distinct seeds.  Keys are hashed 8
 bytes at a time through the same finalizer, and the 64-bit result is
 reduced to a bit position by multiply-shift rather than modulo.
 
-A numpy batch path hashes many equal-length keys at once and is
-guaranteed to agree bit for bit with the scalar path.
+A numpy batch path hashes many equal-length keys at once and agrees bit
+for bit with the scalar path for every range size m, including m >= 2**32.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-__all__ = ["HashFamily", "derive_seed", "keyed_hash64", "node_hash", "pack_keys"]
+__all__ = ["HashFamily", "derive_seed", "keyed_hash64", "pack_keys"]
 
 MASK64 = (1 << 64) - 1
 _GOLD = 0x9E3779B97F4A7C15
@@ -100,11 +100,23 @@ def _reduce(h: int, m: int) -> int:
 
 
 def _reduce_np(h: np.ndarray, m: int) -> np.ndarray:
-    # (h * m) >> 64 in two 32-bit halves; exact for m < 2**32
-    m64 = np.uint64(m)
-    hi = h >> _S32
-    lo = h & _LO32
-    return (hi * m64 + ((lo * m64) >> _S32)) >> _S32
+    # (h * m) >> 64 exactly, summed from the four 32 x 32 -> 64 bit partial
+    # products of h and m; no sum below exceeds 2**64 - 1.  In-place updates
+    # keep the many small batches of a build cheap.
+    m_hi, m_lo = np.uint64(m >> 32), np.uint64(m & 0xFFFFFFFF)
+    h_hi, h_lo = h >> _S32, h & _LO32
+    cross = h_hi * m_lo
+    mid = h_lo * m_lo
+    mid >>= _S32
+    mid += cross & _LO32
+    h_lo *= m_hi
+    mid += h_lo
+    mid >>= _S32
+    cross >>= _S32
+    cross += mid
+    h_hi *= m_hi
+    h_hi += cross
+    return h_hi
 
 
 class HashFamily:
@@ -137,19 +149,4 @@ class HashFamily:
 
     def base_hash_batch(self, j: int, words: np.ndarray, length: int) -> np.ndarray:
         """Vectorized base_hash over packed keys; identical outputs."""
-        if self.m >= 1 << 32:
-            raise ValueError("batch path supports m < 2**32")
         return _reduce_np(hash_words(self._seed(j), words, length), self.m)
-
-
-def node_hash(family: HashFamily, node, j: int, key: bytes) -> int:
-    """Bit position probed at a tree node: base hash shifted by the node offset.
-
-    The node contributes its own consecutive slice of base indices
-    (node.base_start + 1 .. node.base_start + node.k) and every node adds
-    its level-order offset mod m, which keeps sibling subtrees decorrelated
-    while reusing the same base functions.
-    """
-    if not 1 <= j <= node.k:
-        raise IndexError(f"hash index {j} outside 1..{node.k} at node {node.index}")
-    return (family.base_hash(node.base_start + j, key) + node.offset) % family.m

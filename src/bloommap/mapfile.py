@@ -26,7 +26,6 @@ from . import codetree
 from .core import BitArray, BloomMap
 from .distribution import ValueDistribution
 from .errors import FormatError, InvalidDistribution, IoError
-from .hashing import HashFamily
 
 __all__ = ["MapFileHeader", "save", "load", "read_header", "MAGIC", "VERSION"]
 
@@ -259,10 +258,8 @@ def load(source) -> BloomMap:
                 raise FormatError(f"hash counts[{i}]: {k} must be positive")
             ks.append(k)
         simple_ks = tuple(ks)
-        family_k = sum(ks)
     else:
         tree = _parse_tree(reader, header.b)
-        family_k = max(tree.path_weight(i) for i in range(tree.b))
     nbytes = (header.m + 7) // 8
     bit_data = reader.take(nbytes, "bit array")
     if reader.pos != len(payload):
@@ -273,7 +270,7 @@ def load(source) -> BloomMap:
         variant=header.variant,
         dist=dist,
         epsilon=header.epsilon,
-        family=HashFamily(header.master_seed, header.m, family_k),
+        seed=header.master_seed,
         bits=bits,
         tree=tree,
         simple_ks=simple_ks,

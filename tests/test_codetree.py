@@ -25,7 +25,6 @@ from bloommap.codetree import (
     certify_error_bounds,
     compute_geometry,
     left_branch_count,
-    path_nodes,
     tree_from_depths,
     tree_property_report,
 )
@@ -162,7 +161,7 @@ def test_single_node_tree():
     assign_offsets(tree)
     assert tree.nodes[tree.root].offset == 0
     assert tree.leaf_depths() == (0,)
-    assert path_nodes(tree, 0) == (tree.nodes[tree.root],)
+    assert tree.path_ids(0) == (tree.root,)
     assert left_branch_count(tree, 0) == 0
 
 
@@ -359,7 +358,7 @@ def test_geometry_budget_warning():
 
 def test_path_queries():
     tree = build_alphabetic_tree(new_distribution([2, 1, 1], "abc"))
-    assert len(path_nodes(tree, 2)) == 3
+    assert len(tree.path_ids(2)) == 3
     assert left_branch_count(tree, 2) == 0  # rightmost leaf: no left turns
     assert left_branch_count(tree, 0) <= math.log2(tree.b)
 

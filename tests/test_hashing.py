@@ -6,13 +6,14 @@ import random
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from bloommap.hashing import (
     HashFamily,
     derive_seed,
     hash_words,
     keyed_hash64,
-    node_hash,
     pack_keys,
 )
 from bloommap import build_alphabetic_tree, new_distribution
@@ -84,13 +85,28 @@ def test_batch_positions_match_scalar():
             assert batch.tolist() == scalar
 
 
-def test_batch_refuses_huge_range():
-    fam = HashFamily(0, 1 << 33, 1)
-    words, length = pack_keys([b"0123456789abcdef"])
-    with pytest.raises(ValueError):
-        fam.base_hash_batch(1, words, length)
-    # the scalar path still works above 2**32
-    assert 0 <= fam.base_hash(1, b"0123456789abcdef") < (1 << 33)
+_EQUAL_LENGTH_KEYS = st.integers(0, 40).flatmap(
+    lambda n: st.lists(st.binary(min_size=n, max_size=n), min_size=1, max_size=8)
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    m=st.integers(1, (1 << 64) - 1),
+    keys=_EQUAL_LENGTH_KEYS,
+    seed=st.integers(0, (1 << 64) - 1),
+)
+@example(m=(1 << 32) - 1, keys=[b"0123456789abcdef"], seed=0)
+@example(m=1 << 32, keys=[b"0123456789abcdef"], seed=0)
+@example(m=(1 << 64) - 1, keys=[b"0123456789abcdef"], seed=0)
+def test_batch_matches_scalar_for_every_range(m, keys, seed):
+    # the batch reduction is exact for every m, including m >= 2**32
+    fam = HashFamily(seed, m, 2)
+    words, length = pack_keys(keys)
+    for j in (1, 2):
+        scalar = [fam.base_hash(j, k) for k in keys]
+        assert fam.base_hash_batch(j, words, length).tolist() == scalar
+        assert all(0 <= pos < m for pos in scalar)
 
 
 def test_pack_keys_rejects_ragged_input():
@@ -123,14 +139,6 @@ def _fast_tree(probs):
     return tree
 
 
-def test_node_hash_at_root_equals_base_hash():
-    tree = _fast_tree([1, 1])
-    root = tree.nodes[tree.root]
-    fam = HashFamily(8, 991, 16)
-    for j in range(1, root.k + 1):
-        assert node_hash(fam, root, j, b"key") == fam.base_hash(j, b"key")
-
-
 def test_node_hash_offsets_never_collide():
     # two nodes reusing a base index but carrying different offsets can
     # never land on the same bit for the same key
@@ -145,8 +153,9 @@ def test_node_hash_offsets_never_collide():
     rnd = random.Random(6)
     for _ in range(300):
         key = rnd.randbytes(12)
-        a = node_hash(fam, left_leaf, 1, key)
-        b = node_hash(fam, right_leaf, 1, key)
+        # the store formula: (base_hash(base_start + j) + offset) % m
+        a = (fam.base_hash(left_leaf.base_start + 1, key) + left_leaf.offset) % fam.m
+        b = (fam.base_hash(right_leaf.base_start + 1, key) + right_leaf.offset) % fam.m
         assert a != b
 
 
@@ -159,13 +168,3 @@ def test_path_base_indices_are_consecutive():
             node = tree.nodes[w]
             used.extend(range(node.base_start + 1, node.base_start + node.k + 1))
         assert used == list(range(1, tree.path_weight(i) + 1))
-
-
-def test_node_hash_index_bounds():
-    tree = _fast_tree([1, 1])
-    fam = HashFamily(8, 991, 16)
-    leaf = tree.nodes[tree.leaves[0]]
-    with pytest.raises(IndexError):
-        node_hash(fam, leaf, 0, b"x")
-    with pytest.raises(IndexError):
-        node_hash(fam, leaf, leaf.k + 1, b"x")

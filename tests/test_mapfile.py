@@ -71,6 +71,7 @@ def test_round_trip_every_variant(tmp_path):
         assert back.n == bmap.n == 400
         assert back.epsilon == bmap.epsilon
         assert back.dist == bmap.dist
+        assert back.family.k == bmap.family.k
         assert back.bits.to_bytes() == bmap.bits.to_bytes()
         assert back.frozen
         for key in [k for k, _ in pairs] + fresh:
