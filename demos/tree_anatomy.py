@@ -51,7 +51,7 @@ for scheme in ("standard", "fast"):
     print(f"  certified false positive bound {fp:.3g} (budget {eps:.3g})")
     print(f"  worst misassignment bound      {max(mis):.3g}")
     print(f"  geometry for 1600 keys: m={geom.m} bits, "
-          f"deepest path carries {geom.k} hashes")
+          f"deepest path carries {max(geom.t)} hashes")
 
 report = tree_property_report(tree)
 print(f"\nstructural invariants hold: {report.all_ok}")

@@ -413,12 +413,11 @@ def certify_error_bounds(tree: CodeTree, epsilon: float) -> CertificationReport:
 
 @dataclass(frozen=True)
 class Geometry:
-    """Bit array sizing for a tree with counts: m bits, k base functions,
-    per-value path weights t, and whether m fits the coarse budget
+    """Bit array sizing for a tree with counts: m bits, per-value path
+    weights t, and whether m fits the coarse budget
     2 n log2(e) log2(b / epsilon)."""
 
     m: int
-    k: int
     t: tuple[int, ...]
     budget_limit: float
     budget_ok: bool
@@ -450,7 +449,7 @@ def compute_geometry(tree: CodeTree, counts, epsilon: float) -> Geometry:
             "building anyway",
             stacklevel=2,
         )
-    return Geometry(m=m, k=max(t), t=t, budget_limit=limit, budget_ok=ok)
+    return Geometry(m=m, t=t, budget_limit=limit, budget_ok=ok)
 
 
 # -- paths ------------------------------------------------------------

@@ -2,12 +2,14 @@
 
 A map is a single bit array shared by all values.  The flat variant gives
 value i its own block of k_i = ceil(log2(1/eps) + log2(1/p_i)) hash
-functions; a query tests every block and returns the largest value index
-whose block is fully set.  The tree variant hashes each key along its
-value's root-to-leaf path in the code tree, so likely values touch few
-bits, and the query walks the tree right subtree first, abandoning any
-subtree whose node shows a zero bit.  Neither variant can return "not
-present" for a stored key.
+functions; the tree variant hashes each key along its value's
+root-to-leaf path in the code tree, so likely values touch few bits.
+One query serves both: it returns the largest value index whose whole
+path is set, trying values from the last down and skipping every value
+whose path holds a segment that showed a zero bit.  On a tree that is the
+right-first walk abandoning any subtree whose node fails; on the flat
+layout it stops at the first fully set block from the top.  Neither variant can
+return "not present" for a stored key.
 """
 
 from __future__ import annotations
@@ -155,12 +157,16 @@ class BloomMap:
     number of threads.
 
     _paths is the single description of the bits a value's key touches:
-    entry i lists value i's (base_start, k, offset) segments, one per node
-    on its root-to-leaf path, or the one segment (start_i, k_i, 0) of its
-    flat block.  The key then touches bit (base_hash(base_start + j, key)
-    + offset) % m for j = 1..k of every segment; the level-order offset
-    keeps sibling subtrees that reuse base indices decorrelated.  Storing,
-    the flat query and the size of the hash family all read it.
+    entry i lists value i's (base_start, k, offset, low, keep) segments,
+    one per node on its root-to-leaf path, or the one segment
+    (start_i, k_i, 0, i, 0) of its flat block.  The key then touches bit
+    (base_hash(base_start + j, key) + offset) % m for j = 1..k of every
+    segment; the level-order offset keeps sibling subtrees that reuse base
+    indices decorrelated.  low is the smallest value whose path holds the
+    segment, so a query that finds a zero bit there moves on to value
+    low - 1, whose first keep segments are shared with the path just
+    probed and already known set.  Storing, querying and the size of the
+    hash family all read it.
     """
 
     def __init__(self, *, variant: str, dist: ValueDistribution, epsilon: float,
@@ -175,13 +181,21 @@ class BloomMap:
         self.n = n
         if tree is not None:
             segments = [(node.base_start, node.k, node.offset) for node in tree.nodes]
-            self._paths = tuple(
-                tuple(segments[w] for w in tree.path_ids(i)) for i in range(tree.b)
-            )
+            paths = [[segments[w] for w in tree.path_ids(i)] for i in range(tree.b)]
         else:
             starts = accumulate(simple_ks, initial=0)
-            self._paths = tuple(((start, k, 0),) for start, k in zip(starts, simple_ks))
-        size = max(start + k for path in self._paths for start, k, _ in path)
+            paths = [[(start, k, 0)] for start, k in zip(starts, simple_ks)]
+        # value i shares its first keep segments with value i - 1 (distinct
+        # paths part before either ends); the rest are first held by i
+        extended, prior = [], ()
+        for i, path in enumerate(paths):
+            keep = 0
+            while keep < len(prior) and prior[keep][:3] == path[keep]:
+                keep += 1
+            prior = prior[:keep] + tuple((*seg, i, keep) for seg in path[keep:])
+            extended.append(prior)
+        self._paths = tuple(extended)
+        size = max(start + k for path in self._paths for start, k, *_ in path)
         self.family = HashFamily(seed, bits.m, size)
         self._pending: dict[bytes, int] | None = None if bits.frozen else {}
 
@@ -230,7 +244,7 @@ class BloomMap:
         if not self._note_pair(key, value_index):
             return
         m = self.m
-        for start, k, offset in self._paths[value_index]:
+        for start, k, offset, _, _ in self._paths[value_index]:
             for j in range(start + 1, start + k + 1):
                 self.bits.set_bit((self.family.base_hash(j, key) + offset) % m)
 
@@ -245,7 +259,7 @@ class BloomMap:
                     by_len[len(key)].append(key)
             for bucket in by_len.values():
                 words, length = pack_keys(bucket)
-                for start, k, offset in self._paths[value_index]:
+                for start, k, offset, _, _ in self._paths[value_index]:
                     for j in range(start + 1, start + k + 1):
                         pos = self.family.base_hash_batch(j, words, length)
                         chunks.append((pos + np.uint64(offset)) % m if offset else pos)
@@ -262,66 +276,42 @@ class BloomMap:
     # -- reading ------------------------------------------------------
 
     def query(self, key) -> QueryOutcome:
-        """Look up a key.  Never reports absence for a stored key."""
+        """Look up a key.  Never reports absence for a stored key.
+
+        Walks _paths from value b - 1 down to the first whole path that is
+        set, caching base hashes by index so subtrees sharing them reuse them.
+        """
         if not self.bits.frozen:
             raise ValueError("freeze the map before querying")
         key = _as_key(key)
-        if self.tree is not None:
-            return self._query_tree(key)
-        return self._query_simple(key)
-
-    def _query_simple(self, key: bytes) -> QueryOutcome:
-        bits = self.bits
-        family = self.family
+        get_bit = self.bits.get_bit
+        base_hash = self.family.base_hash
+        m = self.m
+        paths = self._paths
+        cache = [None] * (self.family.k + 1)
         probes = 0
-        best = None
-        # a flat path is one segment with offset 0
-        for i, ((start, k, _),) in enumerate(self._paths):
-            for j in range(start + 1, start + k + 1):
-                probes += 1
-                if not bits.get_bit(family.base_hash(j, key)):
-                    break
+        value, skip = len(paths) - 1, 0
+        while value >= 0:
+            for start, k, offset, low, keep in paths[value][skip:]:
+                for j in range(start + 1, start + k + 1):
+                    h = cache[j]
+                    if h is None:
+                        h = cache[j] = base_hash(j, key)
+                    if not get_bit((h + offset) % m):
+                        break
+                else:
+                    probes += k
+                    continue
+                probes += j - start  # the zero bit was probe j - start
+                value, skip = low - 1, keep
+                break
             else:
-                best = i
-        return self._outcome(best, probes, probes)
-
-    def _query_tree(self, key: bytes) -> QueryOutcome:
-        bits = self.bits
-        family = self.family
-        nodes = self.tree.nodes
-        m = family.m
-        cache: dict[int, int] = {}
-        state = [0, 0]  # probes, hash evals
-
-        def base(idx: int) -> int:
-            h = cache.get(idx)
-            if h is None:
-                h = family.base_hash(idx, key)
-                state[1] += 1
-                cache[idx] = h
-            return h
-
-        def visit(idx: int) -> int | None:
-            node = nodes[idx]
-            for j in range(1, node.k + 1):
-                state[0] += 1
-                if not bits.get_bit((base(node.base_start + j) + node.offset) % m):
-                    return None
-            if node.left is None:
-                return node.value_index
-            found = visit(node.right)
-            if found is not None:
-                return found
-            return visit(node.left)
-
-        found = visit(self.tree.root)
-        return self._outcome(found, state[0], state[1])
-
-    def _outcome(self, value_index, probes, evals) -> QueryOutcome:
-        label = None if value_index is None else self.dist.labels[value_index]
-        return QueryOutcome(
-            value_index=value_index, value=label, probes=probes, hash_evals=evals
-        )
+                break  # the whole path is set
+        # each evaluated index fills one cache slot; slot 0 is never used
+        evals = len(cache) - cache.count(None)
+        found = value if value >= 0 else None
+        label = None if found is None else self.dist.labels[found]
+        return QueryOutcome(value_index=found, value=label, probes=probes, hash_evals=evals)
 
 
 # -- builders ---------------------------------------------------------

@@ -316,7 +316,6 @@ def test_geometry_single_path():
     tree.nodes[tree.root].k = 8
     geom = compute_geometry(tree, (1000,), 2 ** -7)
     assert geom.m == 11542
-    assert geom.k == 8
     assert geom.t == (8,)
 
 
@@ -325,7 +324,6 @@ def test_geometry_two_values_fast():
     geom = compute_geometry(tree, (50, 50), 2 ** -7)
     assert geom.t == (11, 11)
     assert geom.m == 1587
-    assert geom.k == 11
     assert geom.budget_ok
 
 

@@ -9,9 +9,12 @@ scalar one.
 import dataclasses
 import math
 import random
+import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from bloommap import (
     BloomMap,
@@ -27,8 +30,10 @@ from bloommap import (
     uniform_distribution,
     zero_fraction,
 )
+from bloommap.codetree import assign_hash_counts, assign_offsets, build_alphabetic_tree
 from bloommap.core import BitArray, simple_analytic_bounds, simple_hash_counts
 from bloommap.harness import PMapSpec, generate_pmap
+from bloommap.hashing import HashFamily
 
 LOG2E = math.log2(math.e)
 
@@ -308,15 +313,15 @@ def test_saturated_tree_probes_deeper_values_first():
     assert out.hash_evals == out.probes  # no shared base indices on this walk
 
 
-def test_saturated_flat_map_scans_every_value():
+def test_saturated_flat_map_stops_at_the_last_value():
     pairs = generate_pmap(PMapSpec(SKEW, 50, seed=2))
     bmap = build_simple(pairs, SKEW, 2 ** -5, seed=6)
     full = BitArray(bmap.m, data=b"\xff" * len(bmap.bits.to_bytes()))
     full.freeze()
     bmap.bits = full
     out = bmap.query(b"anything")
-    assert out.value_index == SKEW.b - 1  # every block passes; keep the last
-    assert out.probes == sum(bmap.simple_ks)
+    assert out.value_index == SKEW.b - 1  # the scan starts at the last block
+    assert out.probes == bmap.simple_ks[-1]
 
 
 def test_empty_map_rejects_on_first_probe():
@@ -372,21 +377,20 @@ def test_hash_reuse_between_sibling_leaves():
 
 
 def _simple_reference(bmap, key):
-    """Bit-level reimplementation of the flat scan for cross-checking."""
-    best = None
+    """Bit-level reimplementation of the flat scan for cross-checking:
+    blocks from the last value down, stopping at the first fully set one."""
     probes = 0
-    start = 0
-    for i, k in enumerate(bmap.simple_ks):
-        ok = True
-        for j in range(1, k + 1):
+    starts = [0]
+    for k in bmap.simple_ks:
+        starts.append(starts[-1] + k)
+    for i in reversed(range(len(bmap.simple_ks))):
+        for j in range(starts[i] + 1, starts[i + 1] + 1):
             probes += 1
-            if not bmap.bits.get_bit(bmap.family.base_hash(start + j, key)):
-                ok = False
+            if not bmap.bits.get_bit(bmap.family.base_hash(j, key)):
                 break
-        if ok:
-            best = i
-        start += k
-    return best, probes
+        else:
+            return i, probes
+    return None, probes
 
 
 def test_flat_query_matches_reference_scan():
@@ -401,6 +405,97 @@ def test_flat_query_matches_reference_scan():
         assert out.value_index == want_index
         assert out.probes == want_probes
         assert out.hash_evals == want_probes
+
+
+def _tree_reference(bmap, key):
+    """The recursive right-first walk over tree.nodes, caching base hashes
+    per query: (value_index, probes, hash_evals) that query must match."""
+    nodes = bmap.tree.nodes
+    cache = {}
+    probes = 0
+
+    def visit(idx):
+        nonlocal probes
+        node = nodes[idx]
+        for j in range(node.base_start + 1, node.base_start + node.k + 1):
+            probes += 1
+            if j not in cache:
+                cache[j] = bmap.family.base_hash(j, key)
+            if not bmap.bits.get_bit((cache[j] + node.offset) % bmap.m):
+                return None
+        if node.is_leaf:
+            return node.value_index
+        found = visit(node.right)
+        return found if found is not None else visit(node.left)
+
+    found = visit(bmap.tree.root)
+    return found, probes, len(cache)
+
+
+def _custom_counts(dist, epsilon, rnd):
+    probe = build_alphabetic_tree(dist)
+    assign_offsets(probe)
+    assign_hash_counts(probe, epsilon, "fast")
+    return {node.index: node.k + rnd.randint(0, 2) for node in probe.nodes}
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    scheme=st.sampled_from(["standard", "fast", "custom"]),
+    weights=st.lists(st.integers(1, 20), min_size=1, max_size=64),
+    eps_bits=st.integers(2, 8),
+    seed=st.integers(0, 2 ** 32 - 1),
+    fill=st.sampled_from([0.0, 0.3, 0.5, 0.7, 0.9, 1.0]),
+)
+def test_tree_query_matches_right_first_walk(scheme, weights, eps_bits, seed, fill):
+    # random fill makes deep detours and sibling hash reuse common
+    rnd = random.Random(seed)
+    b = len(weights)
+    d = new_distribution(weights, [f"v{i}" for i in range(b)])
+    eps = 2.0 ** -eps_bits
+    custom = _custom_counts(d, eps, rnd) if scheme == "custom" else None
+    n = rnd.randint(1, 3 * b)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", UserWarning)  # advisory sizing budget
+        bmap = plan_tree_map(d, eps, seed, scheme, n=n, custom=custom)
+    stored = [f"k{t}".encode() for t in range(n)]
+    for key in stored:
+        bmap.store(key, rnd.randrange(b))
+    noise = np.random.default_rng(seed).random(bmap.m) < fill
+    bmap.bits.set_many(np.flatnonzero(noise).astype(np.uint64))
+    bmap.freeze()
+    for key in stored + [f"absent-{t}".encode() for t in range(20)]:
+        out = bmap.query(key)
+        assert (out.value_index, out.probes, out.hash_evals) == _tree_reference(bmap, key)
+
+
+def test_call_counts_equal_reported_counts(monkeypatch):
+    # each probe reads one bit and each evaluation hashes once, which is
+    # what lets a tracer count probes by wrapping the two primitives
+    pairs = generate_pmap(PMapSpec(SKEW, 300, seed=12))
+    eps = 2 ** -6
+    maps = [build_simple(pairs, SKEW, eps, seed=1)]
+    maps += [build_tree(pairs, SKEW, eps, seed=2, scheme=s) for s in ("standard", "fast")]
+    custom = _custom_counts(SKEW, eps, random.Random(3))
+    maps.append(build_tree(pairs, SKEW, eps, seed=3, scheme="custom", custom=custom))
+    calls = {"get_bit": 0, "base_hash": 0}
+
+    def counting(name, fn):
+        def wrapper(*args):
+            calls[name] += 1
+            return fn(*args)
+        return wrapper
+
+    monkeypatch.setattr(BitArray, "get_bit", counting("get_bit", BitArray.get_bit))
+    monkeypatch.setattr(HashFamily, "base_hash", counting("base_hash", HashFamily.base_hash))
+    stored = [key for key, _ in pairs[:100]]
+    absent = [f"absent-{t}".encode() for t in range(100)]
+    for bmap in maps:
+        for keys in (stored, absent):
+            calls.update(get_bit=0, base_hash=0)
+            outs = [bmap.query(key) for key in keys]
+            assert calls["get_bit"] == sum(o.probes for o in outs)
+            assert calls["base_hash"] == sum(o.hash_evals for o in outs)
 
 
 # -- answer invariants across many random maps ------------------------
