@@ -14,8 +14,6 @@ import subprocess
 import sys
 import tempfile
 
-workdir = pathlib.Path(tempfile.mkdtemp(prefix="bloommap-demo-"))
-
 
 def run(*args):
     print(f"$ bloommap {' '.join(args)}")
@@ -30,30 +28,33 @@ def run(*args):
     print()
 
 
-# 1. build: the input is plain key<TAB>label lines; the value
-#    distribution is tallied from the file itself
-pairs = workdir / "routes.tsv"
-lines = []
-for i in range(300):
-    tier = ("web", "web", "api", "batch")[i % 4]
-    lines.append(f"host-{i:03d}\t{tier}")
-pairs.write_text("\n".join(lines) + "\n")
-mapfile = workdir / "routes.bmap"
-run("build", "--input", str(pairs), "--epsilon", "0.0078125",
-    "--variant", "fast", "--seed", "1", "--out", str(mapfile))
+with tempfile.TemporaryDirectory(prefix="bloommap-demo-") as tmp:
+    workdir = pathlib.Path(tmp)
 
-# 2. query: one key per invocation; --probes shows the work done
-run("query", str(mapfile), "--key", "host-042", "--probes")
-run("query", str(mapfile), "--key", "host-777")
+    # 1. build: the input is plain key<TAB>label lines; the value
+    #    distribution is tallied from the file itself
+    pairs = workdir / "routes.tsv"
+    lines = []
+    for i in range(300):
+        tier = ("web", "web", "api", "batch")[i % 4]
+        lines.append(f"host-{i:03d}\t{tier}")
+    pairs.write_text("\n".join(lines) + "\n")
+    mapfile = workdir / "routes.bmap"
+    run("build", "--input", str(pairs), "--epsilon", "0.0078125",
+        "--variant", "fast", "--seed", "1", "--out", str(mapfile))
 
-# 3. inspect: geometry, hash counts, and certified error bounds
-run("inspect", str(mapfile))
+    # 2. query: one key per invocation; --probes shows the work done
+    run("query", str(mapfile), "--key", "host-042", "--probes")
+    run("query", str(mapfile), "--key", "host-777")
 
-# 4. bounds: the floor calculator needs no map at all
-run("bounds", "--epsilon-plus", "0.0078125", "--entropy", "1.75")
+    # 3. inspect: geometry, hash counts, and certified error bounds
+    run("inspect", str(mapfile))
 
-# 5. bench: generate, build, and measure a synthetic workload
-dist = workdir / "dist.tsv"
-dist.write_text("web\t0.5\napi\t0.25\nbatch\t0.25\n")
-run("bench", "--dist", str(dist), "--n", "5000", "--epsilon", "0.0078125",
-    "--variant", "standard", "--neg-samples", "2000", "--seed", "3")
+    # 4. bounds: the floor calculator needs no map at all
+    run("bounds", "--epsilon-plus", "0.0078125", "--entropy", "1.75")
+
+    # 5. bench: generate, build, and measure a synthetic workload
+    dist = workdir / "dist.tsv"
+    dist.write_text("web\t0.5\napi\t0.25\nbatch\t0.25\n")
+    run("bench", "--dist", str(dist), "--n", "5000", "--epsilon", "0.0078125",
+        "--variant", "standard", "--neg-samples", "2000", "--seed", "3")

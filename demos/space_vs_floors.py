@@ -12,7 +12,10 @@ factor is the price of realizing the structure with hash functions, and
 integer ceilings on the hash counts add a little more.
 """
 
+from dataclasses import asdict
+
 from bloommap import build_simple, entropy, new_distribution, space_report
+from bloommap.cli import render
 from bloommap.harness import PMapSpec, generate_pmap
 
 dist = new_distribution([0.5, 0.25, 0.125, 0.125], ["a", "b", "c", "d"])
@@ -32,4 +35,4 @@ for t in range(4, 11):
 print()
 print("the full comparison for one build:")
 print()
-print(space_report(build_simple(pairs, dist, 2 ** -7, seed=99)).to_table())
+print(render(asdict(space_report(build_simple(pairs, dist, 2 ** -7, seed=99)))))

@@ -61,11 +61,9 @@ from .errors import (
 from .harness import (
     ErrorReport,
     PMapSpec,
-    SweepConfig,
     build_with_discard,
     generate_pmap,
     measure,
-    sweep,
 )
 from .hashing import HashFamily
 from .mapfile import MapFileHeader, load, read_header, save
@@ -91,7 +89,6 @@ __all__ = [
     "MapFileHeader",
     "PMapSpec",
     "QueryOutcome",
-    "SweepConfig",
     "UnknownValue",
     "ValueDistribution",
     "assign_hash_counts",
@@ -116,7 +113,6 @@ __all__ = [
     "read_header",
     "save",
     "space_report",
-    "sweep",
     "tree_property_report",
     "uniform_distribution",
     "zero_fraction",

@@ -194,39 +194,6 @@ class BoundReport:
     ratio: float
     asymptotic_terms_omitted: bool = True
 
-    _FIELDS = (
-        "variant", "n", "m", "b", "epsilon", "entropy_bits", "achieved_bpk",
-        "variant_bpk", "fp_only_lower_bpk", "general_lower_bpk",
-        "symmetric_lower_bpk", "ratio",
-    )
-
-    def _items(self):
-        for name in self._FIELDS:
-            yield name, getattr(self, name)
-
-    def to_kv_lines(self) -> str:
-        """Machine-readable name=value lines."""
-        parts = []
-        for name, value in self._items():
-            if isinstance(value, float):
-                parts.append(f"{name}={value:.6g}")
-            else:
-                parts.append(f"{name}={value if value is not None else 'none'}")
-        parts.append("asymptotic_terms_omitted=true")
-        return "\n".join(parts)
-
-    def to_table(self) -> str:
-        """Aligned two-column text table."""
-        rows = []
-        for name, value in self._items():
-            if isinstance(value, float):
-                rows.append((name, f"{value:.6g}"))
-            else:
-                rows.append((name, str(value) if value is not None else "-"))
-        rows.append(("asymptotic_terms_omitted", "true"))
-        width = max(len(name) for name, _ in rows)
-        return "\n".join(f"{name:<{width}}  {val}" for name, val in rows)
-
 
 def space_report(bmap) -> BoundReport:
     """Compare a frozen map's bits per key against the analytic floors."""

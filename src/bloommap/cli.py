@@ -1,24 +1,24 @@
 """Command line front end.
 
 Subcommands: build (TSV pairs to map file), query, bench (synthetic
-workload measurement), bounds (space floor calculator), inspect.  Exit
-codes: 0 success, 1 usage problems, 2 data or format problems.  All
-diagnostics go to stderr.
+workload measurement), bounds (space floor calculator), inspect.  The
+three reports (inspect, bench, bounds) print one record each through
+render(), as name=value lines.  Exit codes: 0 success, 1 usage problems,
+2 data or format problems.  All diagnostics go to stderr.
 """
 
 from __future__ import annotations
 
 import argparse
 import sys
+from dataclasses import asdict
 
 from . import bounds as bounds_mod
 from . import harness, mapfile
-from .codetree import analytic_error_bounds
-from .core import simple_analytic_bounds
 from .distribution import load_distribution, new_distribution
 from .errors import BloomMapError
 
-__all__ = ["cli_main", "main"]
+__all__ = ["cli_main", "main", "render"]
 
 
 class _Parser(argparse.ArgumentParser):
@@ -49,8 +49,24 @@ def _read_pairs_tsv(path: str) -> list[tuple[bytes, bytes]]:
     return pairs
 
 
-def _label_text(label: bytes) -> str:
-    return label.decode("utf-8", errors="backslashreplace")
+def _text(value) -> str:
+    if isinstance(value, bool):
+        return "true" if value else "false"
+    if isinstance(value, float):
+        return f"{value:.6g}"
+    if value is None:
+        return "none"
+    if isinstance(value, bytes):
+        return value.decode("utf-8", errors="backslashreplace")
+    if isinstance(value, tuple):
+        return ", ".join(_text(item) for item in value)
+    return str(value)
+
+
+def render(record: dict) -> str:
+    """A record as name=value lines: floats at %.6g, None as none, bools
+    as true/false, labels decoded, tuples joined with ", "."""
+    return "\n".join(f"{name}={_text(value)}" for name, value in record.items())
 
 
 def _cmd_build(args) -> int:
@@ -75,7 +91,7 @@ def _cmd_query(args) -> int:
     if outcome.is_bottom:
         print("BOTTOM")
     else:
-        print(_label_text(outcome.value))
+        print(_text(outcome.value))
     if args.probes:
         print(f"probes={outcome.probes} hash_evals={outcome.hash_evals}")
     return 0
@@ -92,60 +108,27 @@ def _cmd_bench(args) -> int:
     else:
         bmap = harness.build_variant(pairs, dist, args.epsilon, args.seed, args.variant)
     report = harness.measure(bmap, pairs, args.neg_samples, seed=args.seed + 1)
-    print(report.to_table())
-    print()
-    print(bounds_mod.space_report(bmap).to_table())
+    print(render(asdict(report) | asdict(bounds_mod.space_report(bmap))))
     return 0
 
 
 def _cmd_bounds(args) -> int:
-    lines = [
-        ("fp_only_lower_bpk",
-         bounds_mod.lb_false_positive_only(args.epsilon_plus, args.entropy)),
-        ("general_lower_bpk",
-         bounds_mod.lb_general(args.epsilon_plus, args.epsilon_star,
-                               args.epsilon_minus, args.entropy)),
-    ]
+    floors = {
+        "fp_only_lower_bpk":
+            bounds_mod.lb_false_positive_only(args.epsilon_plus, args.entropy),
+        "general_lower_bpk":
+            bounds_mod.lb_general(args.epsilon_plus, args.epsilon_star,
+                                  args.epsilon_minus, args.entropy),
+    }
     if 0.0 < args.epsilon_plus < 1.0:
-        lines.append(
-            ("symmetric_lower_bpk",
-             bounds_mod.lb_symmetric(args.epsilon_plus, args.entropy))
-        )
-    for name, value in lines:
-        print(f"{name}={value:.6g}")
+        floors["symmetric_lower_bpk"] = bounds_mod.lb_symmetric(
+            args.epsilon_plus, args.entropy)
+    print(render(floors))
     return 0
 
 
 def _cmd_inspect(args) -> int:
-    bmap = mapfile.load(args.mapfile)
-    rows: list[tuple[str, str]] = [
-        ("variant", bmap.variant),
-        ("n", str(bmap.n)),
-        ("b", str(bmap.b)),
-        ("m", str(bmap.m)),
-        ("epsilon", f"{bmap.epsilon:.6g}"),
-        ("master_seed", str(bmap.family.master_seed)),
-        ("hash_functions", str(bmap.family.k)),
-        ("zero_fraction", f"{bmap.bits.zero_fraction():.6g}"),
-    ]
-    if bmap.n:
-        rows.append(("bits_per_key", f"{bmap.bits_per_key():.4f}"))
-    labels = ", ".join(_label_text(lab) for lab in bmap.dist.labels)
-    rows.append(("values", labels))
-    if bmap.tree is not None:
-        depths = ",".join(str(d) for d in bmap.tree.leaf_depths())
-        ks = ",".join(str(bmap.tree.nodes[i].k) for i in bmap.tree.leaves)
-        rows.append(("leaf_depths", depths))
-        rows.append(("leaf_hash_counts", ks))
-        fp, mis = analytic_error_bounds(bmap.tree)
-    else:
-        rows.append(("hash_counts", ",".join(str(k) for k in bmap.simple_ks)))
-        fp, mis = simple_analytic_bounds(bmap.simple_ks)
-    rows.append(("false_positive_bound", f"{fp:.6g}"))
-    rows.append(("max_misassignment_bound", f"{max(mis):.6g}" if mis else "0"))
-    width = max(len(name) for name, _ in rows)
-    for name, value in rows:
-        print(f"{name:<{width}}  {value}")
+    print(render(mapfile.load(args.mapfile).describe()))
     return 0
 
 

@@ -118,9 +118,6 @@ class CodeTree:
     def b(self) -> int:
         return len(self.leaves)
 
-    def node(self, index: int) -> TreeNode:
-        return self.nodes[index]
-
     def leaf_depths(self) -> tuple[int, ...]:
         return tuple(self.nodes[i].depth for i in self.leaves)
 

@@ -218,6 +218,35 @@ class BloomMap:
             raise ValueError("no keys stored")
         return self.m / self.n
 
+    def describe(self) -> dict:
+        """The map as one plain record: geometry, hash counts, zero
+        fraction and certified error bounds.  bits_per_key is None while
+        no key is stored."""
+        if self.tree is not None:
+            fp, mis = codetree.analytic_error_bounds(self.tree)
+            counts = {
+                "leaf_depths": self.tree.leaf_depths(),
+                "leaf_hash_counts": tuple(self.tree.nodes[i].k for i in self.tree.leaves),
+            }
+        else:
+            fp, mis = simple_analytic_bounds(self.simple_ks)
+            counts = {"hash_counts": self.simple_ks}
+        return {
+            "variant": self.variant,
+            "n": self.n,
+            "b": self.b,
+            "m": self.m,
+            "epsilon": self.epsilon,
+            "master_seed": self.family.master_seed,
+            "hash_functions": self.family.k,
+            "zero_fraction": self.bits.zero_fraction(),
+            "bits_per_key": self.bits_per_key() if self.n else None,
+            "values": self.dist.labels,
+            **counts,
+            "false_positive_bound": fp,
+            "max_misassignment_bound": max(mis, default=0.0),
+        }
+
     # -- writing ------------------------------------------------------
 
     def _note_pair(self, key: bytes, value_index: int) -> bool:

@@ -8,27 +8,20 @@ on the (vanishingly rare) collision with a stored key.
 
 from __future__ import annotations
 
-import csv
-import io
 import math
 import random
 from dataclasses import dataclass
 
-from .bounds import space_report
 from .core import BloomMap, build_simple, build_tree
 from .distribution import ValueDistribution, integer_counts
 
 __all__ = [
     "PMapSpec",
     "ErrorReport",
-    "SweepConfig",
     "generate_pmap",
     "measure",
     "build_with_discard",
     "build_variant",
-    "sweep",
-    "render_table",
-    "render_csv",
 ]
 
 KEY_BYTES = 16
@@ -125,31 +118,13 @@ class ErrorReport:
     pos_counts: tuple[int, ...]
     neg_samples: int
 
-    def to_table(self) -> str:
-        rows = [
-            ("false_positive_rate", f"{self.false_positive_rate:.6g}"),
-            ("zero_fraction", f"{self.zero_fraction:.6g}"),
-            ("neg_probe_mean", f"{self.neg_probe_mean:.6g}"),
-            ("neg_samples", str(self.neg_samples)),
-        ]
-        for i, (mis, fn, probes, count) in enumerate(
-            zip(self.misassignment_rates, self.false_negative_rates,
-                self.pos_probe_means, self.pos_counts)
-        ):
-            rows.append(
-                (f"value[{i}]",
-                 f"count={count} misassign={mis:.6g} false_neg={fn:.6g} "
-                 f"probe_mean={probes:.6g}")
-            )
-        width = max(len(name) for name, _ in rows)
-        return "\n".join(f"{name:<{width}}  {val}" for name, val in rows)
-
 
 def measure(bmap: BloomMap, pairs, neg_samples: int, seed: int) -> ErrorReport:
     """Query every stored pair plus neg_samples fresh keys and tally rates.
 
     neg_samples must be at least 1000; below that the rates are mostly
-    noise.
+    noise.  Labels may be bytes or str; one that the map's distribution
+    lacks raises UnknownValue.
     """
     if neg_samples < 1000:
         raise ValueError(f"need at least 1000 negative samples, got {neg_samples}")
@@ -161,7 +136,10 @@ def measure(bmap: BloomMap, pairs, neg_samples: int, seed: int) -> ErrorReport:
     probe_sums = [0] * b
     stored = set()
     for key, label in pairs:
-        i = label_index[label]
+        try:
+            i = label_index[label]
+        except KeyError:  # a str label, or one outside the distribution
+            i = bmap.dist.index_of(label)
         counts[i] += 1
         stored.add(key)
         out = bmap.query(key)
@@ -199,115 +177,3 @@ def measure(bmap: BloomMap, pairs, neg_samples: int, seed: int) -> ErrorReport:
         pos_counts=tuple(counts),
         neg_samples=neg_samples,
     )
-
-
-# -- sweeps -----------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class SweepConfig:
-    dist: ValueDistribution
-    n: int
-    epsilon: float
-    variant: str
-    seed: int
-    neg_samples: int = 10_000
-    discard: bool = False
-
-
-@dataclass(frozen=True)
-class SweepRow:
-    variant: str
-    b: int
-    n: int
-    epsilon: float
-    seed: int
-    discard: bool
-    m: int
-    achieved_bpk: float
-    lower_bpk: float
-    ratio: float
-    false_positive_rate: float
-    max_misassignment: float
-    max_false_negative: float
-    zero_fraction: float
-    neg_probe_mean: float
-    pos_probe_mean: float
-
-    FIELDS = (
-        "variant", "b", "n", "epsilon", "seed", "discard", "m",
-        "achieved_bpk", "lower_bpk", "ratio", "false_positive_rate",
-        "max_misassignment", "max_false_negative", "zero_fraction",
-        "neg_probe_mean", "pos_probe_mean",
-    )
-
-    def cells(self) -> list[str]:
-        out = []
-        for name in self.FIELDS:
-            value = getattr(self, name)
-            out.append(f"{value:.5g}" if isinstance(value, float) else str(value))
-        return out
-
-
-def sweep(configs) -> list[SweepRow]:
-    """Run each configuration end to end: generate, build, measure, and
-    summarize one row per config.  Deterministic given the seeds."""
-    configs = list(configs)
-    if not configs:
-        raise ValueError("empty sweep")
-    rows = []
-    for cfg in configs:
-        pairs = generate_pmap(PMapSpec(dist=cfg.dist, n=cfg.n, seed=cfg.seed))
-        if cfg.discard:
-            bmap = build_with_discard(pairs, cfg.dist, cfg.epsilon, cfg.seed, cfg.variant)
-        else:
-            bmap = build_variant(pairs, cfg.dist, cfg.epsilon, cfg.seed, cfg.variant)
-        report = measure(bmap, pairs, cfg.neg_samples, seed=cfg.seed + 1)
-        space = space_report(bmap)
-        total_probes = sum(
-            mean * count for mean, count in zip(report.pos_probe_means, report.pos_counts)
-        )
-        total_pos = sum(report.pos_counts)
-        rows.append(SweepRow(
-            variant=cfg.variant,
-            b=cfg.dist.b,
-            n=cfg.n,
-            epsilon=cfg.epsilon,
-            seed=cfg.seed,
-            discard=cfg.discard,
-            m=bmap.m,
-            achieved_bpk=space.achieved_bpk,
-            lower_bpk=space.symmetric_lower_bpk,
-            ratio=space.ratio,
-            false_positive_rate=report.false_positive_rate,
-            max_misassignment=max(report.misassignment_rates),
-            max_false_negative=max(report.false_negative_rates),
-            zero_fraction=report.zero_fraction,
-            neg_probe_mean=report.neg_probe_mean,
-            pos_probe_mean=total_probes / total_pos if total_pos else 0.0,
-        ))
-    return rows
-
-
-def render_table(rows) -> str:
-    """Aligned text table, one sweep row per line."""
-    header = list(SweepRow.FIELDS)
-    body = [row.cells() for row in rows]
-    widths = [
-        max(len(header[c]), *(len(line[c]) for line in body)) if body else len(header[c])
-        for c in range(len(header))
-    ]
-    fmt = "  ".join(f"{{:<{w}}}" for w in widths)
-    lines = [fmt.format(*header)]
-    lines.extend(fmt.format(*line) for line in body)
-    return "\n".join(lines)
-
-
-def render_csv(rows) -> str:
-    """The same rows as CSV with a header line."""
-    sink = io.StringIO()
-    writer = csv.writer(sink)
-    writer.writerow(SweepRow.FIELDS)
-    for row in rows:
-        writer.writerow([getattr(row, name) for name in SweepRow.FIELDS])
-    return sink.getvalue()

@@ -7,7 +7,8 @@ Layout (all integers little-endian):
     distribution: b x (label_len u16, label bytes, probability f64)
     tree variants: preorder records (is_leaf u8, k u32, value_index u32)
     flat variant:  b x (k u32)
-    bit array: ceil(m / 8) bytes, bit j at byte j >> 3, weight 1 << (j & 7)
+    bit array: ceil(m / 8) bytes, bit j at byte j >> 3, weight 1 << (j & 7);
+               the padding bits m .. 8 ceil(m / 8) - 1 are zero
     checksum u64: FNV-1a 64 over every preceding byte
 
 Internal tree records carry 0xFFFFFFFF in the value_index slot.  A load
@@ -262,6 +263,9 @@ def load(source) -> BloomMap:
         tree = _parse_tree(reader, header.b)
     nbytes = (header.m + 7) // 8
     bit_data = reader.take(nbytes, "bit array")
+    # bits m .. 8 nbytes - 1 pad the last byte above its low m % 8 bits
+    if bit_data[-1] >> (header.m % 8 or 8):
+        raise FormatError(f"bit array: bits set at positions >= m={header.m}")
     if reader.pos != len(payload):
         raise FormatError(f"trailing data: {len(payload) - reader.pos} unexpected bytes")
     bits = BitArray(header.m, data=bit_data)

@@ -1,6 +1,7 @@
 """Space floors, probe limits, and the comparison report."""
 
 import math
+from dataclasses import asdict
 
 import pytest
 
@@ -20,6 +21,7 @@ from bloommap.bounds import (
     standard_negative_probe_limit,
     variant_bits_per_key,
 )
+from bloommap.cli import render
 from bloommap.harness import PMapSpec, generate_pmap
 
 GRID_EPS = [2.0 ** -t for t in range(3, 11)]
@@ -142,14 +144,12 @@ def test_space_report_fields():
     assert report.ratio == pytest.approx(report.achieved_bpk / report.symmetric_lower_bpk)
     assert report.asymptotic_terms_omitted
 
-    kv = report.to_kv_lines()
+    kv = render(asdict(report)).splitlines()
     assert "variant=simple" in kv
     assert "asymptotic_terms_omitted=true" in kv
     assert f"n={report.n}" in kv
-
-    table = report.to_table()
-    assert "achieved_bpk" in table
-    assert "symmetric_lower_bpk" in table
+    assert f"achieved_bpk={report.achieved_bpk:.6g}" in kv
+    assert f"symmetric_lower_bpk={report.symmetric_lower_bpk:.6g}" in kv
 
 
 def test_space_report_custom_has_no_variant_form():
@@ -160,5 +160,5 @@ def test_space_report_custom_has_no_variant_form():
     bmap = build_tree(pairs, d, 2 ** -5, seed=2, scheme="custom", custom=custom)
     report = space_report(bmap)
     assert report.variant_bpk is None
-    assert "variant_bpk=none" in report.to_kv_lines()
+    assert "variant_bpk=none" in render(asdict(report)).splitlines()
     assert report.m == tree_probe.m  # same counts, same geometry

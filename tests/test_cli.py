@@ -1,7 +1,10 @@
 """End-to-end command line coverage, driven through cli_main()."""
 
+import re
+
 import pytest
 
+from bloommap import load
 from bloommap.cli import cli_main
 
 
@@ -21,6 +24,16 @@ def dist_tsv(tmp_path):
     path = tmp_path / "dist.tsv"
     path.write_text("a\t0.5\nb\t0.3\nc\t0.2\n", encoding="utf-8")
     return str(path)
+
+
+def _record(text: str) -> dict:
+    """Parse a report, checking that every line is name=value and that no
+    name repeats."""
+    lines = text.splitlines()
+    assert lines and all(re.fullmatch(r"[a-z_]+=.*", line) for line in lines), text
+    record = dict(line.split("=", 1) for line in lines)
+    assert len(record) == len(lines), text
+    return record
 
 
 def _build(pairs_tsv, out, seed="3", variant="fast"):
@@ -53,6 +66,10 @@ def test_build_query_inspect_flow(pairs_tsv, tmp_path, capsys):
                    "max_misassignment_bound", "values"):
         assert needle in text
     assert "a, b, c, d" in text
+    record = _record(text)
+    assert list(record) == list(load(out).describe())
+    assert record["variant"] == "fast" and record["n"] == "16"
+    assert record["values"] == "a, b, c, d"
 
 
 def test_inspect_flat_map(pairs_tsv, tmp_path, capsys):
@@ -63,6 +80,7 @@ def test_inspect_flat_map(pairs_tsv, tmp_path, capsys):
     text = capsys.readouterr().out
     assert "hash_counts" in text
     assert "leaf_depths" not in text
+    assert list(_record(text)) == list(load(out).describe())
 
 
 def test_build_is_deterministic(pairs_tsv, tmp_path, capsys):
@@ -79,7 +97,10 @@ def test_build_is_deterministic(pairs_tsv, tmp_path, capsys):
 
 def test_bounds_output(capsys):
     assert cli_main(["bounds", "--epsilon-plus", "0.01"]) == 0
-    lines = capsys.readouterr().out.splitlines()
+    text = capsys.readouterr().out
+    assert list(_record(text)) == [
+        "fp_only_lower_bpk", "general_lower_bpk", "symmetric_lower_bpk"]
+    lines = text.splitlines()
     assert lines[0] == "fp_only_lower_bpk=6.64386"
     assert lines[1] == "general_lower_bpk=6.64386"
     assert lines[2] == "symmetric_lower_bpk=6.56299"
@@ -101,9 +122,11 @@ def test_bench_run(dist_tsv, capsys):
     assert code == 0
     text = capsys.readouterr().out
     for needle in ("false_positive_rate", "zero_fraction", "neg_probe_mean",
-                   "value[0]", "value[2]", "achieved_bpk",
-                   "symmetric_lower_bpk", "ratio"):
+                   "achieved_bpk", "symmetric_lower_bpk", "ratio"):
         assert needle in text
+    record = _record(text)
+    for name in ("pos_counts", "misassignment_rates", "false_negative_rates"):
+        assert len(record[name].split(", ")) == 3
 
 
 def test_bench_discard(dist_tsv, capsys):
@@ -113,8 +136,9 @@ def test_bench_discard(dist_tsv, capsys):
         "--discard",
     ])
     assert code == 0
-    text = capsys.readouterr().out
-    assert "false_neg=" in text
+    rates = _record(capsys.readouterr().out)["false_negative_rates"].split(", ")
+    assert len(rates) == 3
+    assert max(float(rate) for rate in rates) > 0.0
 
 
 def test_usage_errors_exit_1(capsys):

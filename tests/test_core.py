@@ -30,7 +30,12 @@ from bloommap import (
     uniform_distribution,
     zero_fraction,
 )
-from bloommap.codetree import assign_hash_counts, assign_offsets, build_alphabetic_tree
+from bloommap.codetree import (
+    analytic_error_bounds,
+    assign_hash_counts,
+    assign_offsets,
+    build_alphabetic_tree,
+)
 from bloommap.core import BitArray, simple_analytic_bounds, simple_hash_counts
 from bloommap.harness import PMapSpec, generate_pmap
 from bloommap.hashing import HashFamily
@@ -232,6 +237,52 @@ def test_value_with_no_keys_is_allowed():
             out = m.query(key)
             assert out.value_index is not None
             assert out.value_index >= SKEW.index_of(label)
+
+
+# -- describe ---------------------------------------------------------
+
+
+def test_describe_records_certified_bounds():
+    pairs = generate_pmap(PMapSpec(SKEW, 300, seed=5))
+    fast = build_tree(pairs, SKEW, 2 ** -6, seed=3, scheme="fast")
+    custom = {n.index: n.k + (0 if n.is_leaf else 1) for n in fast.tree.nodes}
+    maps = [
+        build_simple(pairs, SKEW, 2 ** -6, seed=3),
+        build_tree(pairs, SKEW, 2 ** -6, seed=3, scheme="standard"),
+        fast,
+        build_tree(pairs, SKEW, 2 ** -6, seed=3, scheme="custom", custom=custom),
+    ]
+    for bmap in maps:
+        rec = bmap.describe()
+        if bmap.tree is None:
+            fp, mis = simple_analytic_bounds(bmap.simple_ks)
+            assert rec["hash_counts"] == bmap.simple_ks
+            assert "leaf_depths" not in rec
+        else:
+            fp, mis = analytic_error_bounds(bmap.tree)
+            assert rec["leaf_depths"] == bmap.tree.leaf_depths()
+            assert rec["leaf_hash_counts"] == tuple(
+                bmap.tree.nodes[i].k for i in bmap.tree.leaves
+            )
+            assert "hash_counts" not in rec
+        assert rec["false_positive_bound"] == fp
+        assert rec["max_misassignment_bound"] == max(mis)
+        assert rec["hash_functions"] == bmap.family.k
+        assert (rec["variant"], rec["n"], rec["b"], rec["m"]) == (bmap.variant, 300, 4, bmap.m)
+        assert rec["epsilon"] == 2 ** -6 and rec["master_seed"] == 3
+        assert rec["zero_fraction"] == bmap.bits.zero_fraction()
+        assert rec["bits_per_key"] == bmap.bits_per_key()
+        assert rec["values"] == SKEW.labels
+
+
+def test_empty_tree_map_describes_itself():
+    bmap = plan_tree_map(SKEW, 2 ** -5, seed=1, scheme="standard", n=10)
+    bmap.freeze()
+    rec = bmap.describe()
+    assert rec["n"] == 0
+    assert rec["bits_per_key"] is None
+    assert rec["zero_fraction"] == 1.0
+    assert rec["false_positive_bound"] == analytic_error_bounds(bmap.tree)[0]
 
 
 # -- determinism ------------------------------------------------------

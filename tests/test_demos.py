@@ -1,0 +1,26 @@
+"""The demos that print reports run to completion and clean up after
+themselves."""
+
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+ROOT = Path(__file__).resolve().parents[1]
+
+
+@pytest.mark.parametrize("name", ["space_vs_floors.py", "cli_tour.py"])
+def test_report_demo_runs(name, tmp_path):
+    # point tempfile at an empty directory to see that nothing is left in it
+    env = dict(os.environ, TMPDIR=str(tmp_path))
+    env["PYTHONPATH"] = os.pathsep.join(
+        filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")])
+    )
+    proc = subprocess.run(
+        [sys.executable, str(ROOT / "demos" / name)],
+        cwd=ROOT, env=env, capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stdout + proc.stderr
+    assert list(tmp_path.iterdir()) == []

@@ -1,25 +1,19 @@
-"""Workload generation, discard builds, measurement, and sweeps."""
+"""Workload generation, discard builds, and measurement."""
 
-import csv
-import io
 import math
 
 import pytest
 
-from bloommap import new_distribution, uniform_distribution
+from bloommap import UnknownValue, new_distribution, uniform_distribution
 from bloommap.distribution import integer_counts
 from bloommap.harness import (
     KEY_BYTES,
     ErrorReport,
     PMapSpec,
-    SweepConfig,
     build_variant,
     build_with_discard,
     generate_pmap,
     measure,
-    render_csv,
-    render_table,
-    sweep,
 )
 
 TERN = new_distribution([0.5, 0.3, 0.2], ["a", "b", "c"])
@@ -169,62 +163,10 @@ def test_measure_requires_enough_negatives():
         measure(bmap, pairs, neg_samples=999, seed=2)
 
 
-def test_error_report_table():
-    pairs = generate_pmap(PMapSpec(TERN, 200, seed=3))
-    bmap = build_variant(pairs, TERN, 2 ** -5, seed=3, variant="standard")
-    text = measure(bmap, pairs, 1000, seed=4).to_table()
-    assert "false_positive_rate" in text
-    assert "value[0]" in text and "value[2]" in text
-    assert "probe_mean=" in text
-
-
-# -- sweeps -----------------------------------------------------------
-
-
-def _configs():
-    return [
-        SweepConfig(dist=TERN, n=300, epsilon=2 ** -5, variant="simple",
-                    seed=20, neg_samples=1000),
-        SweepConfig(dist=uniform_distribution(2), n=200, epsilon=2 ** -4,
-                    variant="fast", seed=21, neg_samples=1000, discard=True),
-    ]
-
-
-def test_sweep_rows():
-    rows = sweep(_configs())
-    assert len(rows) == 2
-    first, second = rows
-    assert first.variant == "simple" and second.variant == "fast"
-    assert first.b == 3 and second.b == 2
-    assert first.n == 300 and second.n == 200
-    assert not first.discard and second.discard
-    assert first.max_false_negative == 0.0
-    assert second.max_false_negative > 0.0  # the discard build drops keys
-    assert first.ratio == pytest.approx(first.achieved_bpk / first.lower_bpk)
-    assert 0.0 < first.zero_fraction < 1.0
-
-
-def test_sweep_rejects_empty_and_is_deterministic():
-    with pytest.raises(ValueError):
-        sweep([])
-    assert sweep(_configs()) == sweep(_configs())
-
-
-def test_render_table():
-    rows = sweep(_configs())
-    text = render_table(rows)
-    lines = text.splitlines()
-    assert len(lines) == 3
-    assert lines[0].split()[:3] == ["variant", "b", "n"]
-    assert "achieved_bpk" in lines[0]
-    assert lines[1].startswith("simple")
-
-
-def test_render_csv_round_trips():
-    rows = sweep(_configs())
-    parsed = list(csv.reader(io.StringIO(render_csv(rows))))
-    assert parsed[0] == list(rows[0].FIELDS)
-    assert len(parsed) == 3
-    assert parsed[1][0] == "simple"
-    assert int(parsed[1][6]) == rows[0].m
-    assert float(parsed[2][7]) == pytest.approx(rows[1].achieved_bpk)
+def test_measure_labels_resolve_like_the_builders():
+    pairs = generate_pmap(PMapSpec(TERN, 50, seed=1))
+    bmap = build_variant(pairs, TERN, 2 ** -4, seed=1, variant="simple")
+    text_pairs = [(key, label.decode()) for key, label in pairs]
+    assert measure(bmap, text_pairs, 1000, seed=2) == measure(bmap, pairs, 1000, seed=2)
+    with pytest.raises(UnknownValue, match="zzz"):
+        measure(bmap, pairs + [(b"stray-key", b"zzz")], neg_samples=1000, seed=2)

@@ -72,6 +72,7 @@ def test_round_trip_every_variant(tmp_path):
         assert back.epsilon == bmap.epsilon
         assert back.dist == bmap.dist
         assert back.family.k == bmap.family.k
+        assert back.describe() == bmap.describe()
         assert back.bits.to_bytes() == bmap.bits.to_bytes()
         assert back.frozen
         for key in [k for k, _ in pairs] + fresh:
@@ -189,6 +190,26 @@ def test_trailing_bytes_rejected():
     evil = payload + struct.pack("<Q", _fnv1a64(payload))
     with pytest.raises(FormatError, match="trailing"):
         load(io.BytesIO(evil))
+
+
+def test_padding_bits_rejected():
+    # the bit array ends right before the checksum; its last byte holds
+    # m % 8 real bits, and ones() would count any padding bit set above them
+    _, maps = _maps()
+    for bmap in maps.values():
+        data = _saved(bmap)
+        last = len(data) - 9
+        for bit in (bmap.m % 8, 7):
+            evil = _patched(data, last, bytes([data[last] | 1 << bit]))
+            with pytest.raises(FormatError, match="bit array"):
+                load(io.BytesIO(evil))
+    # with m a multiple of 8 the last byte has no padding to check
+    pairs = generate_pmap(PMapSpec(SKEW, 40, seed=31))
+    bmap = build_simple(pairs, SKEW, 2 ** -6, seed=7)
+    assert bmap.m % 8 == 0
+    data = _saved(bmap)
+    back = load(io.BytesIO(_patched(data, len(data) - 9, b"\xff")))
+    assert back.bits.get_bit(bmap.m - 1) == 1
 
 
 def test_every_single_byte_flip_is_caught():
