@@ -49,6 +49,17 @@ def _read_pairs_tsv(path: str) -> list[tuple[bytes, bytes]]:
     return pairs
 
 
+def _label(raw: bytes) -> str:
+    # one line that ", " still splits: backslashes doubled first, so the
+    # \xNN of an undecodable byte stays unambiguous, then line breaks and
+    # other unprintable characters escaped and ", " written as "\x2c "
+    text = raw.replace(b"\\", b"\\\\").decode("utf-8", errors="backslashreplace")
+    text = "".join(
+        c if c.isprintable() else c.encode("unicode_escape").decode("ascii") for c in text
+    )
+    return text.replace(", ", "\\x2c ")
+
+
 def _text(value) -> str:
     if isinstance(value, bool):
         return "true" if value else "false"
@@ -57,7 +68,7 @@ def _text(value) -> str:
     if value is None:
         return "none"
     if isinstance(value, bytes):
-        return value.decode("utf-8", errors="backslashreplace")
+        return _label(value)
     if isinstance(value, tuple):
         return ", ".join(_text(item) for item in value)
     return str(value)
@@ -65,7 +76,8 @@ def _text(value) -> str:
 
 def render(record: dict) -> str:
     """A record as name=value lines: floats at %.6g, None as none, bools
-    as true/false, labels decoded, tuples joined with ", "."""
+    as true/false, labels decoded and escaped to one line, tuples joined
+    with ", "."""
     return "\n".join(f"{name}={_text(value)}" for name, value in record.items())
 
 

@@ -162,11 +162,13 @@ class BloomMap:
     (start_i, k_i, 0, i, 0) of its flat block.  The key then touches bit
     (base_hash(base_start + j, key) + offset) % m for j = 1..k of every
     segment; the level-order offset keeps sibling subtrees that reuse base
-    indices decorrelated.  low is the smallest value whose path holds the
-    segment, so a query that finds a zero bit there moves on to value
-    low - 1, whose first keep segments are shared with the path just
-    probed and already known set.  Storing, querying and the size of the
-    hash family all read it.
+    indices decorrelated.  Every base_hash(j, key) is the j-th double hash
+    of one digest of the key (see hashing.py), so storing or looking up a
+    key hashes its bytes once however many bits it touches.  low is the
+    smallest value whose path holds the segment, so a query that finds a
+    zero bit there moves on to value low - 1, whose first keep segments
+    are shared with the path just probed and already known set.  Storing,
+    querying and the size of the hash family all read it.
     """
 
     def __init__(self, *, variant: str, dist: ValueDistribution, epsilon: float,
@@ -287,10 +289,10 @@ class BloomMap:
                 if self._note_pair(key, value_index):
                     by_len[len(key)].append(key)
             for bucket in by_len.values():
-                words, length = pack_keys(bucket)
+                h1, h2 = self.family.digest_batch(*pack_keys(bucket))
                 for start, k, offset, _, _ in self._paths[value_index]:
                     for j in range(start + 1, start + k + 1):
-                        pos = self.family.base_hash_batch(j, words, length)
+                        pos = self.family.base_hash_batch(j, h1, h2)
                         chunks.append((pos + np.uint64(offset)) % m if offset else pos)
         if chunks:
             self.bits.set_many(np.concatenate(chunks))

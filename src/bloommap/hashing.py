@@ -1,13 +1,15 @@
-"""Seeded non-cryptographic hashing.
+"""Seeded non-cryptographic hashing by double hashing.
 
-One 64-bit master seed fans out into as many independent-looking hash
-functions as a map needs.  Seed j is derived by folding j into the master
-seed and running a splitmix-style finalizer (two multiply-xor-shift
-rounds), so distinct j always give distinct seeds.  Keys are hashed 8
-bytes at a time through the same finalizer, and the 64-bit result is
-reduced to a bit position by multiply-shift rather than modulo.
+A key is hashed once: its 8-byte words run through a splitmix-style
+finalizer (two multiply-xor-shift rounds) under the 64-bit master seed,
+giving h1, and one more finalizer round gives the odd step
+h2 = fmix64(h1) | 1.  Function j is then g_j = (h1 + j * h2) mod 2**64,
+reduced to a bit position by multiply-shift rather than modulo.  Kirsch
+and Mitzenmacher ("Less Hashing, Same Performance", ESA 2006) show that
+these g_j keep the false positive rate of k independent functions, so a
+map probing t positions per key pays for one key hash, not t.
 
-A numpy batch path hashes many equal-length keys at once and agrees bit
+A numpy batch path digests many equal-length keys at once and agrees bit
 for bit with the scalar path for every range size m, including m >= 2**32.
 """
 
@@ -15,7 +17,7 @@ from __future__ import annotations
 
 import numpy as np
 
-__all__ = ["HashFamily", "derive_seed", "keyed_hash64", "pack_keys"]
+__all__ = ["HashFamily", "keyed_hash64", "pack_keys"]
 
 MASK64 = (1 << 64) - 1
 _GOLD = 0x9E3779B97F4A7C15
@@ -30,11 +32,6 @@ def _fmix64(z):
     z ^= z >> 27
     z = (z * _MULT2) & MASK64
     return z ^ (z >> 31)
-
-
-def derive_seed(master_seed: int, j: int) -> int:
-    """Seed for hash function j (1-based).  Injective in j for fixed master."""
-    return _fmix64((master_seed ^ ((j * _GOLD) & MASK64)) & MASK64)
 
 
 def keyed_hash64(seed: int, key: bytes) -> int:
@@ -54,6 +51,7 @@ _NP_MULT1 = np.uint64(_MULT1)
 _NP_MULT2 = np.uint64(_MULT2)
 _S30, _S27, _S31, _S32 = (np.uint64(s) for s in (30, 27, 31, 32))
 _LO32 = np.uint64(0xFFFFFFFF)
+_ONE = np.uint64(1)
 
 
 def _fmix64_np(z):
@@ -95,10 +93,6 @@ def hash_words(seed: int, words: np.ndarray, length: int) -> np.ndarray:
     return out
 
 
-def _reduce(h: int, m: int) -> int:
-    return (h * m) >> 64
-
-
 def _reduce_np(h: np.ndarray, m: int) -> np.ndarray:
     # (h * m) >> 64 exactly, summed from the four 32 x 32 -> 64 bit partial
     # products of h and m; no sum below exceeds 2**64 - 1.  In-place updates
@@ -120,13 +114,18 @@ def _reduce_np(h: np.ndarray, m: int) -> np.ndarray:
 
 
 class HashFamily:
-    """k seeded hash functions with a common range [0, m).
+    """k double-hashed functions with a common range [0, m).
 
-    Seeds for j = 1..k are derived once up front.  Instances are immutable
-    and safe to share across threads.
+    Function j (1-based) maps a key to reduce((h1 + j * h2) mod 2**64, m),
+    where (h1, h2) is the key's digest.  base_hash keeps the last key it
+    digested in a one-slot memo, so the t calls a lookup or store makes
+    for one key object hash that key once.  The memo is the only state
+    that changes: it is one (key, h1, h2) tuple, replaced whole and read
+    once per call, so a family is safe to share across threads; a race
+    only costs a second digest.
     """
 
-    __slots__ = ("master_seed", "m", "k", "_seeds")
+    __slots__ = ("master_seed", "m", "k", "_memo")
 
     def __init__(self, master_seed: int, m: int, k: int):
         if m < 1:
@@ -136,17 +135,26 @@ class HashFamily:
         self.master_seed = master_seed & MASK64
         self.m = m
         self.k = k
-        self._seeds = tuple(derive_seed(self.master_seed, j) for j in range(1, k + 1))
-
-    def _seed(self, j: int) -> int:
-        if not 1 <= j <= self.k:
-            raise IndexError(f"hash index {j} outside 1..{self.k}")
-        return self._seeds[j - 1]
+        self._memo = (None, 0, 0)
 
     def base_hash(self, j: int, key: bytes) -> int:
         """Position of key under function j (1-based), in [0, m)."""
-        return _reduce(keyed_hash64(self._seed(j), key), self.m)
+        if not 1 <= j <= self.k:
+            raise IndexError(f"hash index {j} outside 1..{self.k}")
+        memo = self._memo
+        if memo[0] is not key:
+            h1 = keyed_hash64(self.master_seed, key)
+            memo = self._memo = (key, h1, _fmix64(h1) | 1)
+        # (g_j * m) >> 64, the scalar form of _reduce_np
+        return ((memo[1] + j * memo[2]) & MASK64) * self.m >> 64
 
-    def base_hash_batch(self, j: int, words: np.ndarray, length: int) -> np.ndarray:
-        """Vectorized base_hash over packed keys; identical outputs."""
-        return _reduce_np(hash_words(self._seed(j), words, length), self.m)
+    def digest_batch(self, words: np.ndarray, length: int) -> tuple[np.ndarray, np.ndarray]:
+        """(h1, h2) for every packed key, as two uint64 arrays."""
+        h1 = hash_words(self.master_seed, words, length)
+        return h1, _fmix64_np(h1) | _ONE
+
+    def base_hash_batch(self, j: int, h1: np.ndarray, h2: np.ndarray) -> np.ndarray:
+        """Vectorized base_hash over digest_batch output; identical outputs."""
+        if not 1 <= j <= self.k:
+            raise IndexError(f"hash index {j} outside 1..{self.k}")
+        return _reduce_np(h1 + np.uint64(j) * h2, self.m)

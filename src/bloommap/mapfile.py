@@ -14,6 +14,10 @@ Layout (all integers little-endian):
 Internal tree records carry 0xFFFFFFFF in the value_index slot.  A load
 re-derives offsets, base index slices, and the hash family from what is
 stored, so a round-tripped map answers every query bit-identically.
+
+hash_algo 1, double hashing from one 64-bit digest per key (hashing.py),
+is the only code written or read.  Files with code 0 set their bits by
+per-function seeded hashes, so load rejects them rather than misread them.
 """
 
 from __future__ import annotations
@@ -32,6 +36,7 @@ __all__ = ["MapFileHeader", "save", "load", "read_header", "MAGIC", "VERSION"]
 
 MAGIC = b"BMAP"
 VERSION = 1
+HASH_ALGO = 1
 NO_VALUE = 0xFFFFFFFF
 
 _VARIANT_CODES = {"simple": 0, "standard": 1, "fast": 2, "custom": 3}
@@ -75,7 +80,7 @@ def save(bmap: BloomMap, sink) -> None:
         return
     buf = io.BytesIO()
     buf.write(_FIXED.pack(
-        MAGIC, VERSION, _VARIANT_CODES[bmap.variant], 0, 0,
+        MAGIC, VERSION, _VARIANT_CODES[bmap.variant], HASH_ALGO, 0,
         bmap.m, bmap.n, bmap.b, bmap.epsilon, bmap.family.master_seed,
     ))
     for label, prob in zip(bmap.dist.labels, bmap.dist.probs):
@@ -131,8 +136,8 @@ def _parse_header(reader: _Reader) -> MapFileHeader:
         raise FormatError(f"version: {version} not supported (expected {VERSION})")
     if variant_code not in _VARIANT_NAMES:
         raise FormatError(f"variant: unknown code {variant_code}")
-    if hash_algo != 0:
-        raise FormatError(f"hash_algo: unknown code {hash_algo}")
+    if hash_algo != HASH_ALGO:
+        raise FormatError(f"hash_algo: code {hash_algo} not supported (expected {HASH_ALGO})")
     if m < 1:
         raise FormatError(f"m: bit count {m} must be positive")
     if b < 1:

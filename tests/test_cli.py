@@ -4,7 +4,7 @@ import re
 
 import pytest
 
-from bloommap import load
+from bloommap import build_tree, load, new_distribution, save
 from bloommap.cli import cli_main
 
 
@@ -81,6 +81,22 @@ def test_inspect_flat_map(pairs_tsv, tmp_path, capsys):
     assert "hash_counts" in text
     assert "leaf_depths" not in text
     assert list(_record(text)) == list(load(out).describe())
+
+
+def test_inspect_escapes_labels(tmp_path, capsys):
+    # a label may hold anything a library caller put there; none of it may
+    # forge a report line or a ", " separator
+    labels = [b"x\nfp_only_lower_bpk=1", b"back\\slash, comma\r",
+              "line\u2028break".encode(), b"\xff"]
+    pairs = [(f"k{i}".encode(), labels[i % 4]) for i in range(16)]
+    out = tmp_path / "labels.bmap"
+    save(build_tree(pairs, new_distribution([1] * 4, labels), 2 ** -5, 1), out)
+    assert cli_main(["inspect", str(out)]) == 0
+    record = _record(capsys.readouterr().out)
+    assert list(record) == list(load(out).describe())
+    assert record["values"].split(", ") == [
+        "x\\nfp_only_lower_bpk=1", "back\\\\slash\\x2c comma\\r",
+        "line\\u2028break", "\\xff"]
 
 
 def test_build_is_deterministic(pairs_tsv, tmp_path, capsys):

@@ -9,13 +9,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from bloommap.hashing import (
-    HashFamily,
-    derive_seed,
-    hash_words,
-    keyed_hash64,
-    pack_keys,
-)
+from bloommap.hashing import HashFamily, hash_words, keyed_hash64, pack_keys
 from bloommap import build_alphabetic_tree, new_distribution
 from bloommap.codetree import assign_hash_counts, assign_offsets, refresh_base_starts
 
@@ -40,17 +34,28 @@ def test_range():
 
 def test_index_bounds():
     fam = HashFamily(0, 100, 2)
-    with pytest.raises(IndexError):
-        fam.base_hash(0, b"k")
-    with pytest.raises(IndexError):
-        fam.base_hash(3, b"k")
+    digest = fam.digest_batch(*pack_keys([b"k"]))
+    for j in (0, 3):
+        with pytest.raises(IndexError):
+            fam.base_hash(j, b"k")
+        with pytest.raises(IndexError):
+            fam.base_hash_batch(j, *digest)
 
 
-def test_derived_seeds_distinct():
-    seeds = {derive_seed(99, j) for j in range(1, 2001)}
-    assert len(seeds) == 2000
-    # different masters give different streams
-    assert derive_seed(99, 1) != derive_seed(100, 1)
+def test_memo_serves_only_the_key_it_holds():
+    # interleaved keys and equal-but-distinct objects answer as a fresh
+    # family does; so do short-lived copies, each freed before the next is
+    # made, which may reuse its memory and id
+    fam = HashFamily(31, 1_000_003, 40)
+    rnd = random.Random(7)
+    a, b = b"0123456789abcdef", b"fedcba9876543210"
+    twin = bytes(bytearray(a))
+    assert twin == a and twin is not a
+    calls = [(j, key) for j in (1, 2, 40) for key in (a, b, a, twin, b"", twin, b)]
+    calls += [(rnd.randint(1, 40), rnd.randbytes(16)) for _ in range(300)]
+    want = [HashFamily(31, 1_000_003, 40).base_hash(j, key) for j, key in calls]
+    assert [fam.base_hash(j, key) for j, key in calls] == want
+    assert [fam.base_hash(j, bytes(bytearray(key))) for j, key in calls] == want
 
 
 def test_keyed_hash_sensitivity():
@@ -76,11 +81,11 @@ def test_batch_matches_scalar():
 def test_batch_positions_match_scalar():
     rnd = random.Random(4)
     for m in (2, 97, 1024, 1_262_359):
-        fam = HashFamily(77, m, 3)
+        fam = HashFamily(77, m, 40)
         keys = [rnd.randbytes(16) for _ in range(128)]
-        words, length = pack_keys(keys)
-        for j in range(1, 4):
-            batch = fam.base_hash_batch(j, words, length)
+        h1, h2 = fam.digest_batch(*pack_keys(keys))
+        for j in (1, 2, 40):
+            batch = fam.base_hash_batch(j, h1, h2)
             scalar = [fam.base_hash(j, k) for k in keys]
             assert batch.tolist() == scalar
 
@@ -95,17 +100,19 @@ _EQUAL_LENGTH_KEYS = st.integers(0, 40).flatmap(
     m=st.integers(1, (1 << 64) - 1),
     keys=_EQUAL_LENGTH_KEYS,
     seed=st.integers(0, (1 << 64) - 1),
+    k=st.integers(2, 2000),
 )
-@example(m=(1 << 32) - 1, keys=[b"0123456789abcdef"], seed=0)
-@example(m=1 << 32, keys=[b"0123456789abcdef"], seed=0)
-@example(m=(1 << 64) - 1, keys=[b"0123456789abcdef"], seed=0)
-def test_batch_matches_scalar_for_every_range(m, keys, seed):
-    # the batch reduction is exact for every m, including m >= 2**32
-    fam = HashFamily(seed, m, 2)
-    words, length = pack_keys(keys)
-    for j in (1, 2):
-        scalar = [fam.base_hash(j, k) for k in keys]
-        assert fam.base_hash_batch(j, words, length).tolist() == scalar
+@example(m=(1 << 32) - 1, keys=[b"0123456789abcdef"], seed=0, k=2)
+@example(m=1 << 32, keys=[b"0123456789abcdef"], seed=0, k=2)
+@example(m=(1 << 64) - 1, keys=[b"0123456789abcdef"], seed=0, k=2)
+def test_batch_matches_scalar_for_every_range(m, keys, seed, k):
+    # the batch digest and reduction are exact for every m, including
+    # m >= 2**32, and j * h2 wraps mod 2**64 alike on both paths
+    fam = HashFamily(seed, m, k)
+    digest = fam.digest_batch(*pack_keys(keys))
+    for j in (1, 2, k):
+        scalar = [fam.base_hash(j, key) for key in keys]
+        assert fam.base_hash_batch(j, *digest).tolist() == scalar
         assert all(0 <= pos < m for pos in scalar)
 
 
@@ -116,18 +123,21 @@ def test_pack_keys_rejects_ragged_input():
 
 def test_bucket_uniformity():
     # one million keys into 1024 buckets: every bucket within five standard
-    # deviations of the mean (binomial sigma, about 31.2 here)
+    # deviations of the mean (binomial sigma, about 31.2 here), for the
+    # first functions and one far along the h1 + j * h2 sequence
     n, m = 1_000_000, 1024
-    fam = HashFamily(20240817, m, 1)
+    fam = HashFamily(20240817, m, 37)
     rnd = np.random.default_rng(5)
     raw = rnd.integers(0, 256, size=(n, 16), dtype=np.uint8)
     words = np.ascontiguousarray(raw).view("<u8").reshape(n, 2)
-    positions = fam.base_hash_batch(1, words, 16)
-    counts = np.bincount(positions.astype(np.int64), minlength=m)
+    digest = fam.digest_batch(words, 16)
     mean = n / m
     sigma = math.sqrt(n * (1 / m) * (1 - 1 / m))
-    worst = np.abs(counts - mean).max()
-    assert worst <= 5 * sigma, f"worst bucket off by {worst:.1f} (5 sigma = {5*sigma:.1f})"
+    for j in (1, 2, 37):
+        positions = fam.base_hash_batch(j, *digest)
+        counts = np.bincount(positions.astype(np.int64), minlength=m)
+        worst = np.abs(counts - mean).max()
+        assert worst <= 5 * sigma, f"j={j}: worst bucket off by {worst:.1f} (5 sigma = {5*sigma:.1f})"
 
 
 def _fast_tree(probs):

@@ -120,6 +120,7 @@ def test_read_header(tmp_path):
     save(bmap, path)
     for header in (read_header(path), read_header(io.BytesIO(_saved(bmap)))):
         assert header.version == 1
+        assert header.hash_algo == 1
         assert header.variant == "fast"
         assert header.m == bmap.m
         assert header.n == 400
@@ -146,8 +147,9 @@ def test_targeted_field_corruptions():
         load(io.BytesIO(_patched(data, 4, bytes([255]))))
     with pytest.raises(FormatError, match="variant"):
         load(io.BytesIO(_patched(data, 5, bytes([9]))))
-    with pytest.raises(FormatError, match="hash_algo"):
-        load(io.BytesIO(_patched(data, 6, bytes([1]))))
+    for code in (0, 2):
+        with pytest.raises(FormatError, match="hash_algo"):
+            load(io.BytesIO(_patched(data, 6, bytes([code]))))
     with pytest.raises(FormatError, match="m:"):
         load(io.BytesIO(_patched(data, 8, struct.pack("<Q", 0))))
     with pytest.raises(FormatError, match="epsilon"):
