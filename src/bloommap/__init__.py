@@ -66,7 +66,7 @@ from .harness import (
     measure,
 )
 from .hashing import HashFamily
-from .mapfile import MapFileHeader, load, read_header, save
+from .mapfile import load, save
 
 __version__ = "0.1.0"
 
@@ -86,7 +86,6 @@ __all__ = [
     "InvalidEpsilon",
     "InvalidScheme",
     "IoError",
-    "MapFileHeader",
     "PMapSpec",
     "QueryOutcome",
     "UnknownValue",
@@ -110,7 +109,6 @@ __all__ = [
     "measure",
     "new_distribution",
     "plan_tree_map",
-    "read_header",
     "save",
     "space_report",
     "tree_property_report",

@@ -26,6 +26,7 @@ __all__ = [
     "CertificationReport",
     "TreePropertyReport",
     "build_alphabetic_tree",
+    "plan_tree",
     "tree_from_depths",
     "assign_offsets",
     "assign_hash_counts",
@@ -216,6 +217,18 @@ def build_alphabetic_tree(dist) -> CodeTree:
     return tree_from_depths(depths)
 
 
+def plan_tree(dist, epsilon: float, scheme: str = "standard", custom=None) -> CodeTree:
+    """The certified code tree of a tree map: the alphabetic shape for dist,
+    level-order offsets, and scheme's hash counts for epsilon.
+
+    Building a map and loading one both plan through here, so a map file
+    stores the distribution and never the plan.
+    """
+    tree = build_alphabetic_tree(dist)
+    assign_offsets(tree)
+    return assign_hash_counts(tree, epsilon, scheme, custom=custom)
+
+
 # -- offsets and base indices -----------------------------------------
 
 
@@ -275,13 +288,17 @@ def _scheme_counts(tree: CodeTree, epsilon: float, scheme: str, custom) -> None:
         if custom is None:
             raise InvalidScheme("custom scheme needs a per-node hash count mapping")
         floor = _leaf_floor(epsilon)
+        # a count of floor + 64 already leaves every error term it enters
+        # below 2^-64 * epsilon, so a larger one only adds probes; the cap
+        # keeps the hash family, and so a query's work, linear in b
+        cap = floor + 64
         for node in tree.nodes:
             try:
                 k = int(custom[node.index])
             except (KeyError, IndexError):
                 raise InvalidScheme(f"custom counts missing node {node.index}") from None
-            if k < 1:
-                raise InvalidScheme(f"node {node.index}: hash count {k} < 1")
+            if not 1 <= k <= cap:
+                raise InvalidScheme(f"node {node.index}: hash count {k} outside 1..{cap}")
             if node.is_leaf and k < floor:
                 raise InvalidScheme(
                     f"leaf {node.index}: hash count {k} below floor {floor}"

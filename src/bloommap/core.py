@@ -383,9 +383,9 @@ def plan_tree_map(dist: ValueDistribution, epsilon: float, seed: int,
     """Create an empty, unfrozen tree map sized for the given key counts.
 
     Pass either n (apportioned across values by the distribution) or an
-    explicit per-value counts tuple.  The code tree is built, offset,
-    hash-counted, and certified here; the caller then store()s pairs and
-    freeze()s the map.
+    explicit per-value counts tuple.  The code tree comes from
+    codetree.plan_tree, as it does on load; the caller then store()s pairs
+    and freeze()s the map.
     """
     from .distribution import integer_counts
 
@@ -394,9 +394,7 @@ def plan_tree_map(dist: ValueDistribution, epsilon: float, seed: int,
         raise ValueError("pass exactly one of n or counts")
     if counts is None:
         counts = integer_counts(dist, n)
-    tree = codetree.build_alphabetic_tree(dist)
-    codetree.assign_offsets(tree)
-    codetree.assign_hash_counts(tree, epsilon, scheme, custom=custom)
+    tree = codetree.plan_tree(dist, epsilon, scheme, custom=custom)
     geom = codetree.compute_geometry(tree, counts, epsilon)
     return BloomMap(
         variant=scheme, dist=dist, epsilon=epsilon, seed=seed,

@@ -1,19 +1,27 @@
 """Binary persistence for frozen maps.
 
-Layout (all integers little-endian):
+A map is fixed by its value distribution, its error budget epsilon and
+its bit array; the code tree and every hash count follow from the first
+two.  A file stores only those, and load recomputes the plan with the
+builders' own code, so no stored shape or count is ever trusted.
+
+Layout, version 2 (all integers little-endian):
 
     magic "BMAP" | version u8 | variant u8 | hash_algo u8 | reserved u8
-    m u64 | n u64 | b u32 | epsilon f64 | master_seed u64
+    m u64 | n u64 | b u32 | epsilon f64 | master_seed u64 | plan u32
     distribution: b x (label_len u16, label bytes, probability f64)
-    tree variants: preorder records (is_leaf u8, k u32, value_index u32)
-    flat variant:  b x (k u32)
+    custom variant only: 2b - 1 node hash counts u32, in node-index order
     bit array: ceil(m / 8) bytes, bit j at byte j >> 3, weight 1 << (j & 7);
                the padding bits m .. 8 ceil(m / 8) - 1 are zero
-    checksum u64: FNV-1a 64 over every preceding byte
+    checksum u32: CRC-32 (zlib.crc32) over every preceding byte
 
-Internal tree records carry 0xFFFFFFFF in the value_index slot.  A load
-re-derives offsets, base index slices, and the hash family from what is
-stored, so a round-tripped map answers every query bit-identically.
+Simple, standard and fast files state no hash count: load derives them
+from (distribution, epsilon, variant) with simple_hash_counts or
+codetree.plan_tree.  Custom counts are certified again for the file's
+epsilon and must need no bump.  plan is the CRC-32 of repr(_paths), the
+probe plan the map was saved with; load rejects a file whose recomputed
+plan differs, so a later change to the planner cannot silently misread
+an older file.  Version 1 files stored the plan itself and do not load.
 
 hash_algo 1, double hashing from one 64-bit digest per key (hashing.py),
 is the only code written or read.  Files with code 0 set their bits by
@@ -24,44 +32,29 @@ from __future__ import annotations
 
 import io
 import struct
-from dataclasses import dataclass
+import zlib
 from pathlib import Path
 
 from . import codetree
-from .core import BitArray, BloomMap
+from .core import BitArray, BloomMap, simple_hash_counts
 from .distribution import ValueDistribution
-from .errors import FormatError, InvalidDistribution, IoError
+from .errors import FormatError, InvalidDistribution, InvalidScheme, IoError
 
-__all__ = ["MapFileHeader", "save", "load", "read_header", "MAGIC", "VERSION"]
+__all__ = ["save", "load", "MAGIC", "VERSION"]
 
 MAGIC = b"BMAP"
-VERSION = 1
+VERSION = 2
 HASH_ALGO = 1
-NO_VALUE = 0xFFFFFFFF
 
 _VARIANT_CODES = {"simple": 0, "standard": 1, "fast": 2, "custom": 3}
 _VARIANT_NAMES = {code: name for name, code in _VARIANT_CODES.items()}
 
-_FIXED = struct.Struct("<4sBBBBQQIdQ")
+_FIXED = struct.Struct("<4sBBBBQQIdQI")
+_CRC = struct.Struct("<I")
 
 
-@dataclass(frozen=True)
-class MapFileHeader:
-    version: int
-    variant: str
-    hash_algo: int
-    m: int
-    n: int
-    b: int
-    epsilon: float
-    master_seed: int
-
-
-def _fnv1a64(data: bytes) -> int:
-    h = 0xCBF29CE484222325
-    for byte in data:
-        h = ((h ^ byte) * 0x100000001B3) & 0xFFFFFFFFFFFFFFFF
-    return h
+def _plan_digest(bmap: BloomMap) -> int:
+    return zlib.crc32(repr(bmap._paths).encode())
 
 
 # -- writing ----------------------------------------------------------
@@ -82,6 +75,7 @@ def save(bmap: BloomMap, sink) -> None:
     buf.write(_FIXED.pack(
         MAGIC, VERSION, _VARIANT_CODES[bmap.variant], HASH_ALGO, 0,
         bmap.m, bmap.n, bmap.b, bmap.epsilon, bmap.family.master_seed,
+        _plan_digest(bmap),
     ))
     for label, prob in zip(bmap.dist.labels, bmap.dist.probs):
         if len(label) > 0xFFFF:
@@ -89,18 +83,14 @@ def save(bmap: BloomMap, sink) -> None:
         buf.write(struct.pack("<H", len(label)))
         buf.write(label)
         buf.write(struct.pack("<d", prob))
-    if bmap.tree is not None:
-        for node in bmap.tree.preorder():
-            value = NO_VALUE if node.value_index is None else node.value_index
-            buf.write(struct.pack("<BII", int(node.is_leaf), node.k, value))
-    else:
-        for k in bmap.simple_ks:
-            buf.write(struct.pack("<I", k))
+    if bmap.variant == "custom":
+        ks = [node.k for node in bmap.tree.nodes]
+        buf.write(struct.pack(f"<{len(ks)}I", *ks))
     buf.write(bmap.bits.to_bytes())
     payload = buf.getvalue()
-    out = payload + struct.pack("<Q", _fnv1a64(payload))
     try:
-        sink.write(out)
+        sink.write(payload)
+        sink.write(_CRC.pack(zlib.crc32(payload)))
     except OSError as exc:
         raise IoError(f"write failed: {exc}") from exc
 
@@ -109,11 +99,11 @@ def save(bmap: BloomMap, sink) -> None:
 
 
 class _Reader:
-    def __init__(self, data: bytes):
+    def __init__(self, data):
         self.data = data
         self.pos = 0
 
-    def take(self, n: int, what: str) -> bytes:
+    def take(self, n: int, what: str):
         end = self.pos + n
         if end > len(self.data):
             raise FormatError(f"{what}: file truncated at byte {self.pos}")
@@ -126,9 +116,50 @@ class _Reader:
         return s.unpack(self.take(s.size, what))
 
 
-def _parse_header(reader: _Reader) -> MapFileHeader:
-    magic, version, variant_code, hash_algo, _reserved, m, n, b, epsilon, seed = (
-        reader.unpack("<4sBBBBQQIdQ", "header")
+def _parse_distribution(reader: _Reader, b: int) -> ValueDistribution:
+    labels = []
+    probs = []
+    for i in range(b):
+        (length,) = reader.unpack("<H", f"distribution[{i}] label length")
+        labels.append(bytes(reader.take(length, f"distribution[{i}] label")))
+        (prob,) = reader.unpack("<d", f"distribution[{i}] probability")
+        probs.append(prob)
+    try:
+        return ValueDistribution(probs=tuple(probs), labels=tuple(labels))
+    except InvalidDistribution as exc:
+        raise FormatError(f"distribution: {exc}") from exc
+
+
+def load(source) -> BloomMap:
+    """Read a map back from a path or binary stream.
+
+    Raises FormatError (naming the offending field) for anything that
+    does not parse, fails the checksum, or whose recomputed plan does not
+    match the one it was saved with, and IoError when the source itself
+    cannot be read.
+    """
+    if isinstance(source, (str, Path)):
+        try:
+            with open(source, "rb") as fh:
+                return load(fh)
+        except OSError as exc:
+            raise IoError(f"cannot read {source}: {exc}") from exc
+    try:
+        data = source.read()
+    except OSError as exc:
+        raise IoError(f"read failed: {exc}") from exc
+    if len(data) < _CRC.size:
+        raise FormatError("checksum: file shorter than its own checksum")
+    payload = memoryview(data)[: -_CRC.size]
+    (stated,) = _CRC.unpack(data[-_CRC.size :])
+    actual = zlib.crc32(payload)
+    if stated != actual:
+        raise FormatError(
+            f"checksum: stored {stated:#010x} but payload hashes to {actual:#010x}"
+        )
+    reader = _Reader(payload)
+    magic, version, variant_code, hash_algo, _reserved, m, n, b, epsilon, seed, plan = (
+        reader.unpack(_FIXED.format, "header")
     )
     if magic != MAGIC:
         raise FormatError(f"magic: expected {MAGIC!r}, found {magic!r}")
@@ -144,144 +175,41 @@ def _parse_header(reader: _Reader) -> MapFileHeader:
         raise FormatError(f"b: value count {b} must be positive")
     if not (0.0 < epsilon < 1.0):
         raise FormatError(f"epsilon: {epsilon!r} outside (0, 1)")
-    return MapFileHeader(
-        version=version, variant=_VARIANT_NAMES[variant_code], hash_algo=hash_algo,
-        m=m, n=n, b=b, epsilon=epsilon, master_seed=seed,
-    )
-
-
-def read_header(source) -> MapFileHeader:
-    """Parse just the fixed header of a map file."""
-    if isinstance(source, (str, Path)):
-        try:
-            with open(source, "rb") as fh:
-                data = fh.read(_FIXED.size)
-        except OSError as exc:
-            raise IoError(f"cannot read {source}: {exc}") from exc
-    else:
-        data = source.read(_FIXED.size)
-    return _parse_header(_Reader(data))
-
-
-def _parse_distribution(reader: _Reader, b: int) -> ValueDistribution:
-    labels = []
-    probs = []
-    for i in range(b):
-        (length,) = reader.unpack("<H", f"distribution[{i}] label length")
-        labels.append(reader.take(length, f"distribution[{i}] label"))
-        (prob,) = reader.unpack("<d", f"distribution[{i}] probability")
-        probs.append(prob)
-    try:
-        return ValueDistribution(probs=tuple(probs), labels=tuple(labels))
-    except InvalidDistribution as exc:
-        raise FormatError(f"distribution: {exc}") from exc
-
-
-def _parse_tree(reader: _Reader, b: int) -> codetree.CodeTree:
-    # Preorder records self-delimit: keep a stack of internal nodes still
-    # waiting for children and stop once the root's subtree completes.
-    tree = codetree.CodeTree()
-    stored_values: list[int] = []
-    pending: list[list] = []  # [k of the internal node, left child or None]
-    root = None
-    for _ in range(2 * b - 1):
-        is_leaf, k, value = reader.unpack("<BII", "tree node")
-        if is_leaf not in (0, 1):
-            raise FormatError(f"tree: bad leaf flag {is_leaf}")
-        if k < 1:
-            raise FormatError(f"tree: hash count {k} must be positive")
-        if not is_leaf:
-            if value != NO_VALUE:
-                raise FormatError(f"tree: internal node carries value index {value}")
-            pending.append([k, None])
-            continue
-        if value == NO_VALUE:
-            raise FormatError("tree: leaf without a value index")
-        stored_values.append(value)
-        done = tree.new_leaf()
-        tree.nodes[done].k = k
-        while pending:
-            top = pending[-1]
-            if top[1] is None:
-                top[1] = done
-                done = None
-                break
-            internal_k, left = pending.pop()
-            done = tree.new_internal(left, done)
-            tree.nodes[done].k = internal_k
-        if done is not None:
-            root = done
-            break
-    if root is None:
-        raise FormatError(f"tree: records ended before {b} leaves were linked")
-    tree.seal(root)
-    if tree.b != b:
-        raise FormatError(f"tree: {tree.b} leaves for b={b} values")
-    expect = [tree.nodes[i].value_index for i in tree.leaves]
-    if stored_values != expect:
-        raise FormatError(f"tree: leaf value order {stored_values} is not left-to-right")
-    codetree.assign_offsets(tree)
-    codetree.refresh_base_starts(tree)
-    return tree
-
-
-def load(source) -> BloomMap:
-    """Read a map back from a path or binary stream.
-
-    Raises FormatError (naming the offending field) for anything that
-    does not parse or fails the checksum, and IoError when the source
-    itself cannot be read.
-    """
-    if isinstance(source, (str, Path)):
-        try:
-            with open(source, "rb") as fh:
-                return load(fh)
-        except OSError as exc:
-            raise IoError(f"cannot read {source}: {exc}") from exc
-    try:
-        data = source.read()
-    except OSError as exc:
-        raise IoError(f"read failed: {exc}") from exc
-    if len(data) < 8:
-        raise FormatError("checksum: file shorter than its own checksum")
-    payload, tail = data[:-8], data[-8:]
-    (stated,) = struct.unpack("<Q", tail)
-    actual = _fnv1a64(payload)
-    if stated != actual:
-        raise FormatError(
-            f"checksum: stored {stated:#018x} but payload hashes to {actual:#018x}"
-        )
-    reader = _Reader(payload)
-    header = _parse_header(reader)
-    dist = _parse_distribution(reader, header.b)
-    tree = None
-    simple_ks = None
-    if header.variant == "simple":
-        ks = []
-        for i in range(header.b):
-            (k,) = reader.unpack("<I", f"hash counts[{i}]")
-            if k < 1:
-                raise FormatError(f"hash counts[{i}]: {k} must be positive")
-            ks.append(k)
-        simple_ks = tuple(ks)
-    else:
-        tree = _parse_tree(reader, header.b)
-    nbytes = (header.m + 7) // 8
+    variant = _VARIANT_NAMES[variant_code]
+    dist = _parse_distribution(reader, b)
+    custom = None
+    if variant == "custom":
+        nodes = 2 * b - 1
+        custom = struct.unpack(f"<{nodes}I", reader.take(4 * nodes, "custom hash counts"))
+    nbytes = (m + 7) // 8
     bit_data = reader.take(nbytes, "bit array")
     # bits m .. 8 nbytes - 1 pad the last byte above its low m % 8 bits
-    if bit_data[-1] >> (header.m % 8 or 8):
-        raise FormatError(f"bit array: bits set at positions >= m={header.m}")
+    if bit_data[-1] >> (m % 8 or 8):
+        raise FormatError(f"bit array: bits set at positions >= m={m}")
     if reader.pos != len(payload):
         raise FormatError(f"trailing data: {len(payload) - reader.pos} unexpected bytes")
-    bits = BitArray(header.m, data=bit_data)
+    tree = simple_ks = None
+    if variant == "simple":
+        simple_ks = simple_hash_counts(dist, epsilon)
+    else:
+        try:
+            tree = codetree.plan_tree(dist, epsilon, variant, custom)
+        except InvalidScheme as exc:
+            raise FormatError(f"custom hash counts: {exc}") from exc
+        if tree.certification.bumped:
+            raise FormatError(
+                f"custom hash counts: do not certify for epsilon={epsilon!r}"
+            )
+    bits = BitArray(m, data=bit_data)
     bits.freeze()
-    return BloomMap(
-        variant=header.variant,
-        dist=dist,
-        epsilon=header.epsilon,
-        seed=header.master_seed,
-        bits=bits,
-        tree=tree,
-        simple_ks=simple_ks,
-        n=header.n,
+    bmap = BloomMap(
+        variant=variant, dist=dist, epsilon=epsilon, seed=seed,
+        bits=bits, tree=tree, simple_ks=simple_ks, n=n,
     )
+    recomputed = _plan_digest(bmap)
+    if recomputed != plan:
+        raise FormatError(
+            f"plan: stored digest {plan:#010x} but the recomputed plan "
+            f"hashes to {recomputed:#010x}"
+        )
+    return bmap

@@ -221,6 +221,15 @@ def test_custom_counts_validated():
     with pytest.raises(InvalidScheme):
         assign_hash_counts(tree, 2 ** -5, "custom", custom=bad_floor)
 
+    # counts past floor + 64 only add probes, so they are refused
+    at_cap = {i: floor + 64 for i in good}
+    assign_hash_counts(tree, 2 ** -5, "custom", custom=at_cap)
+    assert tree.certification.bumped == ()
+    over_cap = dict(good)
+    over_cap[tree.root] = floor + 65
+    with pytest.raises(InvalidScheme, match="outside"):
+        assign_hash_counts(tree, 2 ** -5, "custom", custom=over_cap)
+
     with pytest.raises(InvalidScheme):
         assign_hash_counts(tree, 2 ** -5, "custom", custom=None)
     with pytest.raises(InvalidScheme):

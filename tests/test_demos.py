@@ -1,5 +1,4 @@
-"""The demos that print reports run to completion and clean up after
-themselves."""
+"""Every demo runs to completion and cleans up after itself."""
 
 import os
 import subprocess
@@ -11,7 +10,7 @@ import pytest
 ROOT = Path(__file__).resolve().parents[1]
 
 
-@pytest.mark.parametrize("name", ["space_vs_floors.py", "cli_tour.py"])
+@pytest.mark.parametrize("name", sorted(p.name for p in (ROOT / "demos").glob("*.py")))
 def test_report_demo_runs(name, tmp_path):
     # point tempfile at an empty directory to see that nothing is left in it
     env = dict(os.environ, TMPDIR=str(tmp_path))

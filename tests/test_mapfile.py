@@ -7,21 +7,24 @@ field-specific validation underneath.
 
 import io
 import struct
+import zlib
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from bloommap import (
     FormatError,
     IoError,
     load,
     new_distribution,
-    read_header,
     save,
     uniform_distribution,
 )
-from bloommap.core import build_simple, build_tree, plan_tree_map
+from bloommap.codetree import _leaf_floor, plan_tree, refresh_base_starts
+from bloommap.core import BloomMap, build_simple, build_tree, plan_tree_map
 from bloommap.harness import PMapSpec, generate_pmap
-from bloommap.mapfile import _FIXED, _fnv1a64
+from bloommap.mapfile import _FIXED, _plan_digest
 
 SKEW = new_distribution([0.5, 0.25, 0.125, 0.125], ["a", "b", "c", "d"])
 
@@ -32,12 +35,21 @@ def _saved(bmap) -> bytes:
     return sink.getvalue()
 
 
+def _sealed(payload: bytes) -> bytes:
+    return payload + struct.pack("<I", zlib.crc32(payload))
+
+
 def _patched(data: bytes, offset: int, new_bytes: bytes) -> bytes:
     """Overwrite bytes inside the payload and fix the checksum up."""
-    payload = bytearray(data[:-8])
+    payload = bytearray(data[:-4])
     payload[offset : offset + len(new_bytes)] = new_bytes
-    payload = bytes(payload)
-    return payload + struct.pack("<Q", _fnv1a64(payload))
+    return _sealed(bytes(payload))
+
+
+def _counts_offset(bmap) -> int:
+    """Where a custom file's node hash counts start: after the header and
+    the distribution block of (len u16 + label + prob f64) per value."""
+    return _FIXED.size + sum(2 + len(l) + 8 for l in bmap.dist.labels)
 
 
 def _maps():
@@ -52,11 +64,6 @@ def _maps():
     out["custom"] = build_tree(pairs, SKEW, 2 ** -6, seed=7,
                                scheme="custom", custom=custom)
     return pairs, out
-
-
-def test_fnv_vectors():
-    assert _fnv1a64(b"") == 0xCBF29CE484222325
-    assert _fnv1a64(b"a") == 0xAF63DC4C8601EC8C
 
 
 def test_round_trip_every_variant(tmp_path):
@@ -77,6 +84,7 @@ def test_round_trip_every_variant(tmp_path):
         assert back.frozen
         for key in [k for k, _ in pairs] + fresh:
             assert back.query(key) == bmap.query(key)
+        assert _saved(back) == path.read_bytes()
 
 
 def test_round_trip_through_streams():
@@ -109,24 +117,6 @@ def test_path_errors(tmp_path):
         save(maps["simple"], tmp_path / "no" / "such" / "dir" / "x.bmap")
     with pytest.raises(IoError):
         load(tmp_path / "missing.bmap")
-    with pytest.raises(IoError):
-        read_header(tmp_path / "missing.bmap")
-
-
-def test_read_header(tmp_path):
-    _, maps = _maps()
-    bmap = maps["fast"]
-    path = tmp_path / "h.bmap"
-    save(bmap, path)
-    for header in (read_header(path), read_header(io.BytesIO(_saved(bmap)))):
-        assert header.version == 1
-        assert header.hash_algo == 1
-        assert header.variant == "fast"
-        assert header.m == bmap.m
-        assert header.n == 400
-        assert header.b == 4
-        assert header.epsilon == 2 ** -6
-        assert header.master_seed == 7
 
 
 def test_truncations_rejected():
@@ -143,8 +133,9 @@ def test_targeted_field_corruptions():
 
     with pytest.raises(FormatError, match="magic"):
         load(io.BytesIO(_patched(data, 0, b"XMAP")))
-    with pytest.raises(FormatError, match="version"):
-        load(io.BytesIO(_patched(data, 4, bytes([255]))))
+    for version in (1, 255):
+        with pytest.raises(FormatError, match="version"):
+            load(io.BytesIO(_patched(data, 4, bytes([version]))))
     with pytest.raises(FormatError, match="variant"):
         load(io.BytesIO(_patched(data, 5, bytes([9]))))
     for code in (0, 2):
@@ -161,35 +152,72 @@ def test_targeted_field_corruptions():
         load(io.BytesIO(bytes(broken)))
 
 
-def test_tree_record_corruptions():
+def test_plan_fingerprint_checked():
+    # the header's last field is the digest of the plan the map was saved
+    # with; a file whose recomputed plan differs must not load
     _, maps = _maps()
-    bmap = maps["standard"]
-    data = _saved(bmap)
-    # distribution block: (len u16 + label + prob f64) per value
-    tree_off = _FIXED.size + sum(2 + len(l) + 8 for l in bmap.dist.labels)
-    with pytest.raises(FormatError, match="leaf flag"):
-        load(io.BytesIO(_patched(data, tree_off, bytes([7]))))
-    with pytest.raises(FormatError, match="hash count"):
-        load(io.BytesIO(_patched(data, tree_off + 1, struct.pack("<I", 0))))
-    with pytest.raises(FormatError, match="value index"):
-        # the first record is the internal root; give it a value
-        load(io.BytesIO(_patched(data, tree_off + 5, struct.pack("<I", 2))))
+    for bmap in maps.values():
+        data = _saved(bmap)
+        (plan,) = struct.unpack_from("<I", data, _FIXED.size - 4)
+        evil = _patched(data, _FIXED.size - 4, struct.pack("<I", plan ^ 1))
+        with pytest.raises(FormatError, match="plan"):
+            load(io.BytesIO(evil))
 
 
-def test_flat_record_corruption():
+def test_custom_counts_certified_on_load():
     _, maps = _maps()
-    bmap = maps["simple"]
+    bmap = maps["custom"]
     data = _saved(bmap)
-    ks_off = _FIXED.size + sum(2 + len(l) + 8 for l in bmap.dist.labels)
-    with pytest.raises(FormatError, match="hash counts"):
-        load(io.BytesIO(_patched(data, ks_off, struct.pack("<I", 0))))
+    root_at = _counts_offset(bmap) + 4 * bmap.tree.root
+    cap = _leaf_floor(bmap.epsilon) + 64
+    for k in (0, cap + 1, 3 * 10 ** 5, 0xFFFFFFFF):
+        with pytest.raises(FormatError, match="custom hash counts"):
+            load(io.BytesIO(_patched(data, root_at, struct.pack("<I", k))))
+    # the cap itself is a legal count: the file loads up to its plan digest
+    with pytest.raises(FormatError, match="plan"):
+        load(io.BytesIO(_patched(data, root_at, struct.pack("<I", cap))))
+
+
+def test_lean_custom_counts_do_not_certify():
+    # the lean counts of test_certify_bumps_a_lean_custom_tree need a bump
+    # at epsilon 2^-4, so a file that states them is rejected, not repaired
+    d = uniform_distribution(4)
+    eps = 2 ** -4
+    fast = plan_tree(d, eps, "fast")
+    bmap = build_tree([(f"k{i}", f"v{i % 4}") for i in range(40)], d, eps, seed=3,
+                      scheme="custom", custom={n.index: n.k for n in fast.nodes})
+    data = _saved(bmap)
+    assert load(io.BytesIO(data)).describe() == bmap.describe()
+    lean = [4 if n.is_leaf else 1 for n in bmap.tree.nodes]
+    evil = _patched(data, _counts_offset(bmap), struct.pack("<7I", *lean))
+    with pytest.raises(FormatError, match="do not certify"):
+        load(io.BytesIO(evil))
+
+
+def test_forged_count_with_a_matching_plan_digest_is_capped():
+    # a file may state any count and recompute both digests; the cap on
+    # custom counts is then what keeps query work linear in b
+    pairs = generate_pmap(PMapSpec(SKEW, 40, seed=31))
+    standard = plan_tree(SKEW, 2 ** -6, "standard")
+    bmap = build_tree(pairs, SKEW, 2 ** -6, seed=1, scheme="custom",
+                      custom={n.index: n.k for n in standard.nodes})
+    data = _saved(bmap)
+    root = bmap.tree.nodes[bmap.tree.root]
+    root.k = 3 * 10 ** 5
+    refresh_base_starts(bmap.tree)
+    forged = BloomMap(variant="custom", dist=bmap.dist, epsilon=bmap.epsilon,
+                      seed=1, bits=bmap.bits, tree=bmap.tree, n=40)
+    evil = _patched(data, _FIXED.size - 4, struct.pack("<I", _plan_digest(forged)))
+    evil = _patched(evil, _counts_offset(bmap) + 4 * root.index,
+                    struct.pack("<I", root.k))
+    with pytest.raises(FormatError, match="custom hash counts"):
+        load(io.BytesIO(evil))
 
 
 def test_trailing_bytes_rejected():
     _, maps = _maps()
     data = _saved(maps["fast"])
-    payload = data[:-8] + b"\x00\x00\x00"
-    evil = payload + struct.pack("<Q", _fnv1a64(payload))
+    evil = _sealed(data[:-4] + b"\x00\x00\x00")
     with pytest.raises(FormatError, match="trailing"):
         load(io.BytesIO(evil))
 
@@ -200,7 +228,7 @@ def test_padding_bits_rejected():
     _, maps = _maps()
     for bmap in maps.values():
         data = _saved(bmap)
-        last = len(data) - 9
+        last = len(data) - 5
         for bit in (bmap.m % 8, 7):
             evil = _patched(data, last, bytes([data[last] | 1 << bit]))
             with pytest.raises(FormatError, match="bit array"):
@@ -210,7 +238,7 @@ def test_padding_bits_rejected():
     bmap = build_simple(pairs, SKEW, 2 ** -6, seed=7)
     assert bmap.m % 8 == 0
     data = _saved(bmap)
-    back = load(io.BytesIO(_patched(data, len(data) - 9, b"\xff")))
+    back = load(io.BytesIO(_patched(data, len(data) - 5, b"\xff")))
     assert back.bits.get_bit(bmap.m - 1) == 1
 
 
@@ -227,3 +255,33 @@ def test_every_single_byte_flip_is_caught():
         broken[pos] ^= flip
         with pytest.raises(FormatError):
             load(io.BytesIO(bytes(broken)))
+
+
+@pytest.fixture(scope="module")
+def fuzz_files():
+    """Saved files, each with the offset of its bit array."""
+    _, maps = _maps()
+    out = {}
+    for name in ("simple", "standard", "custom"):
+        data = _saved(maps[name])
+        out[name] = (data, len(data) - 4 - len(maps[name].bits.to_bytes()))
+    return out
+
+
+@settings(max_examples=150)
+@given(name=st.sampled_from(["simple", "standard", "custom"]), data=st.data())
+def test_load_fuzz_rejects_or_answers(fuzz_files, name, data):
+    # overwrite 1-8 bytes anywhere before the bit array and fix the
+    # checksum: load either raises FormatError or gives a working map
+    raw, bits_at = fuzz_files[name]
+    payload = bytearray(raw[:-4])
+    for _ in range(data.draw(st.integers(1, 8))):
+        payload[data.draw(st.integers(0, bits_at - 1))] = data.draw(st.integers(0, 255))
+    try:
+        back = load(io.BytesIO(_sealed(bytes(payload))))
+    except FormatError:
+        return
+    assert back.frozen
+    for key in (b"", b"a", b"fresh-1", b"x" * 100):
+        out = back.query(key)
+        assert out.value_index is None or 0 <= out.value_index < back.b
