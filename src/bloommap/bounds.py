@@ -11,6 +11,7 @@ space_report() lines a concrete map up against them.
 from __future__ import annotations
 
 import math
+import sys
 import warnings
 from dataclasses import dataclass
 
@@ -33,8 +34,9 @@ LOG2E = math.log2(math.e)
 
 
 def _check_epsilon(epsilon: float) -> None:
-    if not (0.0 < epsilon < 1.0):
-        raise InvalidEpsilon(f"error budget must lie in (0, 1), got {epsilon!r}")
+    # planners take log2(1 / epsilon), which overflows below a normal float
+    if not (sys.float_info.min <= epsilon < 1.0):
+        raise InvalidEpsilon(f"error budget must lie in (0, 1) and be normal, got {epsilon!r}")
 
 
 def _xlog2x(x: float) -> float:

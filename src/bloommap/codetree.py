@@ -161,8 +161,8 @@ def _garsia_wachs_depths(weights) -> list[int]:
     seq: list[list] = [[INF, None]]
     seq.extend([w, i] for i, w in enumerate(weights))
     seq.append([INF, None])
+    j = 2
     while len(seq) > 3:
-        j = 2
         while seq[j - 1][0] > seq[j + 1][0]:
             j += 1
         s = seq[j - 1][0] + seq[j][0]
@@ -172,6 +172,8 @@ def _garsia_wachs_depths(weights) -> list[int]:
         while seq[i][0] < s:
             i -= 1
         seq.insert(i + 1, merged)
+        # items up to i did not move, so no pair left of i can combine yet
+        j = max(2, i)
     depths = [0] * n
     stack = [(seq[1][1], 0)]
     while stack:
@@ -222,10 +224,16 @@ def plan_tree(dist, epsilon: float, scheme: str = "standard", custom=None) -> Co
     level-order offsets, and scheme's hash counts for epsilon.
 
     Building a map and loading one both plan through here, so a map file
-    stores the distribution and never the plan.
+    stores the distribution and never the plan.  Custom counts are taken
+    as stated: counts that miss the budget raise InvalidScheme unbumped.
     """
     tree = build_alphabetic_tree(dist)
     assign_offsets(tree)
+    if scheme == "custom":
+        _check_epsilon(epsilon)
+        _scheme_counts(tree, epsilon, scheme, custom)
+        if not CertificationReport(epsilon, *analytic_error_bounds(tree)).certified:
+            raise InvalidScheme(f"counts do not certify for epsilon={epsilon!r}")
     return assign_hash_counts(tree, epsilon, scheme, custom=custom)
 
 
@@ -354,30 +362,25 @@ class CertificationReport:
         )
 
 
-def _common_prefix_weight(tree: CodeTree, pi, pj) -> int:
-    total = 0
-    for a, b in zip(pi, pj):
-        if a != b:
-            break
-        total += tree.nodes[a].k
-    return total
-
-
 def analytic_error_bounds(tree: CodeTree) -> tuple[float, tuple[float, ...]]:
     """(false positive bound, per-value misassignment bounds) for the
-    current hash counts, from the actual path weights."""
-    b = tree.b
-    t = [tree.path_weight(i) for i in range(b)]
-    fp = math.fsum(2.0 ** -ti for ti in t)
-    mis = []
-    for i in range(b):
-        pi = tree.path_ids(i)
-        acc = 0.0
-        for j in range(i + 1, b):
-            t_ij = t[j] - _common_prefix_weight(tree, pi, tree.path_ids(j))
-            acc += 2.0 ** -t_ij
-        mis.append(acc)
-    return fp, tuple(mis)
+    current hash counts, from the actual path weights.
+
+    Value j > i shadows i with 2**-(the counts on j's path below their
+    lowest common ancestor); those j fill the right subtrees off i's
+    path, so per-subtree sums make this linear in the tree's size.
+    """
+    order = list(tree.preorder())
+    below = [0.0] * len(tree.nodes)   # sum over leaves j under w of 2**-(counts from w to j)
+    for node in reversed(order):
+        inner = 1.0 if node.is_leaf else below[node.left] + below[node.right]
+        below[node.index] = math.ldexp(inner, -node.k)
+    shadow = [0.0] * len(tree.nodes)  # terms of the values right of w's path
+    for node in order:
+        if not node.is_leaf:
+            shadow[node.left] = shadow[node.index] + below[node.right]
+            shadow[node.right] = shadow[node.index]
+    return below[tree.root], tuple(shadow[w] for w in tree.leaves)
 
 
 def certify_error_bounds(tree: CodeTree, epsilon: float) -> CertificationReport:
@@ -406,10 +409,10 @@ def certify_error_bounds(tree: CodeTree, epsilon: float) -> CertificationReport:
             target = min(range(tree.b), key=lambda i: t[i])
         else:
             i = worst_constraint
-            pi = tree.path_ids(i)
-            target = min(
+            shared = set(tree.path_ids(i))
+            target = min(  # the largest term: least weight below the common ancestor
                 range(i + 1, tree.b),
-                key=lambda j: t[j] - _common_prefix_weight(tree, pi, tree.path_ids(j)),
+                key=lambda j: t[j] - sum(tree.nodes[w].k for w in tree.path_ids(j) if w in shared),
             )
         tree.nodes[tree.leaves[target]].k += 1
         bumped.append(target)

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import io
 import math
+import sys
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, Sequence
@@ -40,7 +41,8 @@ def _as_label(obj) -> bytes:
 class ValueDistribution:
     """A sorted probability vector over value labels.
 
-    probs is non-increasing, strictly positive, and sums to 1 within
+    probs is non-increasing, normal floats above zero (planners take
+    log2(1/p), which overflows below them), and sums to 1 within
     SUM_TOLERANCE.  labels are opaque byte strings, unique, co-sorted with
     probs.  Instances are immutable and safe to share between threads.
     """
@@ -56,8 +58,8 @@ class ValueDistribution:
                 f"{len(self.probs)} probabilities but {len(self.labels)} labels"
             )
         for p in self.probs:
-            if not (p > 0.0):
-                raise InvalidDistribution(f"probability {p!r} is not positive")
+            if not (p >= sys.float_info.min):
+                raise InvalidDistribution(f"probability {p!r} is not a positive normal float")
         for a, b in zip(self.probs, self.probs[1:]):
             if a < b:
                 raise InvalidDistribution("probabilities must be non-increasing")

@@ -18,10 +18,11 @@ Layout, version 2 (all integers little-endian):
 Simple, standard and fast files state no hash count: load derives them
 from (distribution, epsilon, variant) with simple_hash_counts or
 codetree.plan_tree.  Custom counts are certified again for the file's
-epsilon and must need no bump.  plan is the CRC-32 of repr(_paths), the
-probe plan the map was saved with; load rejects a file whose recomputed
-plan differs, so a later change to the planner cannot silently misread
-an older file.  Version 1 files stored the plan itself and do not load.
+epsilon and must need no bump.  plan is a CRC-32 of the probe plan
+(_paths) the map was saved with, taken over the segments each value adds
+to its predecessor's path; load rejects a file whose recomputed plan
+differs, so a later change to the planner cannot silently misread an
+older file.  Version 1 files stored the plan itself and do not load.
 
 hash_algo 1, double hashing from one 64-bit digest per key (hashing.py),
 is the only code written or read.  Files with code 0 set their bits by
@@ -32,6 +33,7 @@ from __future__ import annotations
 
 import io
 import struct
+import sys
 import zlib
 from pathlib import Path
 
@@ -54,7 +56,10 @@ _CRC = struct.Struct("<I")
 
 
 def _plan_digest(bmap: BloomMap) -> int:
-    return zlib.crc32(repr(bmap._paths).encode())
+    # path i is path i - 1's first keep segments plus those value i adds,
+    # which end it and record keep: the added segments fix every path
+    added = [path[path[-1][4]:] for path in bmap._paths]
+    return zlib.crc32(repr(added).encode())
 
 
 # -- writing ----------------------------------------------------------
@@ -173,8 +178,8 @@ def load(source) -> BloomMap:
         raise FormatError(f"m: bit count {m} must be positive")
     if b < 1:
         raise FormatError(f"b: value count {b} must be positive")
-    if not (0.0 < epsilon < 1.0):
-        raise FormatError(f"epsilon: {epsilon!r} outside (0, 1)")
+    if not (sys.float_info.min <= epsilon < 1.0):
+        raise FormatError(f"epsilon: {epsilon!r} outside [{sys.float_info.min!r}, 1)")
     variant = _VARIANT_NAMES[variant_code]
     dist = _parse_distribution(reader, b)
     custom = None
@@ -196,10 +201,6 @@ def load(source) -> BloomMap:
             tree = codetree.plan_tree(dist, epsilon, variant, custom)
         except InvalidScheme as exc:
             raise FormatError(f"custom hash counts: {exc}") from exc
-        if tree.certification.bumped:
-            raise FormatError(
-                f"custom hash counts: do not certify for epsilon={epsilon!r}"
-            )
     bits = BitArray(m, data=bit_data)
     bits.freeze()
     bmap = BloomMap(

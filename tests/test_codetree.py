@@ -25,6 +25,7 @@ from bloommap.codetree import (
     certify_error_bounds,
     compute_geometry,
     left_branch_count,
+    plan_tree,
     tree_from_depths,
     tree_property_report,
 )
@@ -202,7 +203,7 @@ def test_single_value_counts():
 
 
 def test_epsilon_validation():
-    for eps in (0.0, 1.0, -0.5, 2.0):
+    for eps in (0.0, 1.0, -0.5, 2.0, 1e-310):
         with pytest.raises(InvalidEpsilon):
             _built([1, 1], eps, "standard")
 
@@ -314,6 +315,44 @@ def test_certify_is_idempotent_once_certified():
     cert = certify_error_bounds(tree, 2 ** -5)
     assert cert.bumped == ()
     assert [n.k for n in tree.nodes] == before
+
+
+def test_analytic_bounds_match_the_pairwise_sums():
+    # value j > i shadows i with 2**-(the counts on j's path below their
+    # lowest common ancestor); the per-subtree passes must give these sums
+    rnd = random.Random(17)
+    for trial in range(200):
+        b = rnd.randint(1, 24)
+        weights = ([2.0 ** -i for i in range(b)] if trial % 4 == 0
+                   else [rnd.randint(1, 30) for _ in range(b)])
+        tree = build_alphabetic_tree(new_distribution(weights, [f"v{i}" for i in range(b)]))
+        for node in tree.nodes:
+            node.k = rnd.randint(1, 12)
+        t = [tree.path_weight(i) for i in range(b)]
+        expect = []
+        for i in range(b):
+            terms = []
+            for j in range(i + 1, b):
+                shared = set(tree.path_ids(i)) & set(tree.path_ids(j))
+                terms.append(2.0 ** -(t[j] - sum(tree.nodes[w].k for w in shared)))
+            expect.append(math.fsum(terms))
+        fp, mis = analytic_error_bounds(tree)
+        assert fp == pytest.approx(math.fsum(2.0 ** -ti for ti in t), rel=1e-12)
+        assert mis == pytest.approx(expect, rel=1e-12)
+
+
+def test_plan_tree_takes_custom_counts_as_stated():
+    # assign_hash_counts bumps the lean counts above until they certify;
+    # plan_tree, which builds and loads maps, rejects them instead
+    eps = 2 ** -4
+    d = uniform_distribution(4)
+    fast = plan_tree(d, eps, "fast")
+    lean = {n.index: (4 if n.is_leaf else 1) for n in fast.nodes}
+    with pytest.raises(InvalidScheme, match="do not certify"):
+        plan_tree(d, eps, "custom", custom=lean)
+    tree = plan_tree(d, eps, "custom", custom={n.index: n.k for n in fast.nodes})
+    assert tree.certification.bumped == ()
+    assert [n.k for n in tree.nodes] == [n.k for n in fast.nodes]
 
 
 # -- geometry ---------------------------------------------------------

@@ -61,6 +61,8 @@ def test_value_distribution_validation():
         ValueDistribution(probs=(0.5, 0.5), labels=(b"a", b"a"))  # dup labels
     with pytest.raises(InvalidDistribution):
         ValueDistribution(probs=(1.0, 0.0), labels=(b"a", b"b"))  # zero entry
+    with pytest.raises(InvalidDistribution, match="normal"):
+        ValueDistribution(probs=(1.0, 1e-310), labels=(b"a", b"b"))  # subnormal
 
 
 def test_index_of():

@@ -7,6 +7,7 @@ field-specific validation underneath.
 
 import io
 import struct
+import time
 import zlib
 
 import pytest
@@ -21,10 +22,10 @@ from bloommap import (
     save,
     uniform_distribution,
 )
-from bloommap.codetree import _leaf_floor, plan_tree, refresh_base_starts
-from bloommap.core import BloomMap, build_simple, build_tree, plan_tree_map
+from bloommap.codetree import _leaf_floor, plan_tree
+from bloommap.core import build_simple, build_tree, plan_tree_map
 from bloommap.harness import PMapSpec, generate_pmap
-from bloommap.mapfile import _FIXED, _plan_digest
+from bloommap.mapfile import _FIXED
 
 SKEW = new_distribution([0.5, 0.25, 0.125, 0.125], ["a", "b", "c", "d"])
 
@@ -143,8 +144,17 @@ def test_targeted_field_corruptions():
             load(io.BytesIO(_patched(data, 6, bytes([code]))))
     with pytest.raises(FormatError, match="m:"):
         load(io.BytesIO(_patched(data, 8, struct.pack("<Q", 0))))
-    with pytest.raises(FormatError, match="epsilon"):
-        load(io.BytesIO(_patched(data, 28, struct.pack("<d", 2.0))))
+    # planning takes log2(1 / x) of epsilon and of every probability, which
+    # overflows for a subnormal x, so those are format errors too
+    for eps in (2.0, 0.0, 1e-310):
+        with pytest.raises(FormatError, match="epsilon"):
+            load(io.BytesIO(_patched(data, 28, struct.pack("<d", eps))))
+    simple = _saved(maps["simple"])
+    probs = _FIXED.size + 2 + 1  # labels are one byte: records of 2 + 1 + 8
+    for at, prob in ((0, 1.0), (1, 1e-310), (2, 1e-310), (3, 1e-310)):
+        simple = _patched(simple, probs + at * 11, struct.pack("<d", prob))
+    with pytest.raises(FormatError, match="distribution: probability 1e-310"):
+        load(io.BytesIO(simple))
     # flipping any raw byte without fixing the checksum trips the checksum
     with pytest.raises(FormatError, match="checksum"):
         broken = bytearray(data)
@@ -194,24 +204,33 @@ def test_lean_custom_counts_do_not_certify():
         load(io.BytesIO(evil))
 
 
-def test_forged_count_with_a_matching_plan_digest_is_capped():
-    # a file may state any count and recompute both digests; the cap on
-    # custom counts is then what keeps query work linear in b
-    pairs = generate_pmap(PMapSpec(SKEW, 40, seed=31))
-    standard = plan_tree(SKEW, 2 ** -6, "standard")
-    bmap = build_tree(pairs, SKEW, 2 ** -6, seed=1, scheme="custom",
-                      custom={n.index: n.k for n in standard.nodes})
-    data = _saved(bmap)
-    root = bmap.tree.nodes[bmap.tree.root]
-    root.k = 3 * 10 ** 5
-    refresh_base_starts(bmap.tree)
-    forged = BloomMap(variant="custom", dist=bmap.dist, epsilon=bmap.epsilon,
-                      seed=1, bits=bmap.bits, tree=bmap.tree, n=40)
-    evil = _patched(data, _FIXED.size - 4, struct.pack("<I", _plan_digest(forged)))
-    evil = _patched(evil, _counts_offset(bmap) + 4 * root.index,
-                    struct.pack("<I", root.k))
-    with pytest.raises(FormatError, match="custom hash counts"):
+def test_large_files_are_judged_in_planner_time():
+    # a file states b and the distribution, so load's cost must stay near
+    # the cost of planning: bounds that summed every pair of values, and a
+    # bump loop run before rejecting, took seconds to minutes at these b
+    eps = 2 ** -7
+    b = 1024
+    fast = plan_tree(uniform_distribution(b), eps, "fast")
+    bmap = plan_tree_map(uniform_distribution(b), eps, seed=1, scheme="custom", n=b,
+                         custom={n.index: n.k for n in fast.nodes})
+    bmap.freeze()
+    lean = [7 if n.is_leaf else 1 for n in bmap.tree.nodes]
+    evil = _patched(_saved(bmap), _counts_offset(bmap),
+                    struct.pack(f"<{len(lean)}I", *lean))
+    start = time.perf_counter()
+    with pytest.raises(FormatError, match="do not certify"):
         load(io.BytesIO(evil))
+    assert time.perf_counter() - start < 1.0
+
+    b = 2048
+    skewed = new_distribution([0.9 ** i for i in range(b)], [f"v{i}" for i in range(b)])
+    bmap = plan_tree_map(skewed, eps, seed=1, scheme="standard", n=b)
+    bmap.freeze()
+    data = _saved(bmap)
+    start = time.perf_counter()
+    back = load(io.BytesIO(data))
+    assert time.perf_counter() - start < 2.0
+    assert back.describe() == bmap.describe()
 
 
 def test_trailing_bytes_rejected():
