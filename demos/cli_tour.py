@@ -43,7 +43,7 @@ with tempfile.TemporaryDirectory(prefix="bloommap-demo-") as tmp:
     run("build", "--input", str(pairs), "--epsilon", "0.0078125",
         "--variant", "fast", "--seed", "1", "--out", str(mapfile))
 
-    # 2. query: one key per invocation; --probes shows the work done
+    # 2. query: --key may repeat, one answer per key; --probes shows the work done
     run("query", str(mapfile), "--key", "host-042", "--probes")
     run("query", str(mapfile), "--key", "host-777")
 

@@ -99,13 +99,14 @@ def _cmd_build(args) -> int:
 
 def _cmd_query(args) -> int:
     bmap = mapfile.load(args.mapfile)
-    outcome = bmap.query(args.key.encode("utf-8"))
-    if outcome.is_bottom:
-        print("BOTTOM")
-    else:
-        print(_text(outcome.value))
-    if args.probes:
-        print(f"probes={outcome.probes} hash_evals={outcome.hash_evals}")
+    for key in args.key:
+        outcome = bmap.query(key.encode("utf-8"))
+        if outcome.is_bottom:
+            print("BOTTOM")
+        else:
+            print(_text(outcome.value))
+        if args.probes:
+            print(f"probes={outcome.probes} hash_evals={outcome.hash_evals}")
     return 0
 
 
@@ -159,10 +160,11 @@ def _build_parser() -> _Parser:
     p.add_argument("--out", required=True, help="output map file")
     p.set_defaults(func=_cmd_build)
 
-    p = sub.add_parser("query", help="look up one key in a map file")
+    p = sub.add_parser("query", help="look up keys in a map file, one answer per line")
     p.add_argument("mapfile")
-    p.add_argument("--key", required=True)
-    p.add_argument("--probes", action="store_true", help="also print probe counts")
+    p.add_argument("--key", action="append", required=True, help="a key to look up; repeatable")
+    p.add_argument("--probes", action="store_true",
+                   help="also print each key's probe counts after its answer")
     p.set_defaults(func=_cmd_query)
 
     p = sub.add_parser("bench", help="measure error rates on a synthetic workload")

@@ -4,12 +4,15 @@ A map is a single bit array shared by all values.  The flat variant gives
 value i its own block of k_i = ceil(log2(1/eps) + log2(1/p_i)) hash
 functions; the tree variant hashes each key along its value's
 root-to-leaf path in the code tree, so likely values touch few bits.
-One query serves both: it returns the largest value index whose whole
+One walk serves both: it returns the largest value index whose whole
 path is set, trying values from the last down and skipping every value
 whose path holds a segment that showed a zero bit.  On a tree that is the
 right-first walk abandoning any subtree whose node fails; on the flat
 layout it stops at the first fully set block from the top.  Neither variant can
-return "not present" for a stored key.
+return "not present" for a stored key.  The walk has a scalar form,
+BloomMap.query, for one key, and a batch form, BloomMap.query_many, that
+moves a whole batch of keys through it one probe at a time and returns
+the same answers and probe counts.
 """
 
 from __future__ import annotations
@@ -168,7 +171,7 @@ class BloomMap:
     smallest value whose path holds the segment, so a query that finds a
     zero bit there moves on to value low - 1, whose first keep segments
     are shared with the path just probed and already known set.  Storing,
-    querying and the size of the hash family all read it.
+    both query forms and the size of the hash family all read it.
     """
 
     def __init__(self, *, variant: str, dist: ValueDistribution, epsilon: float,
@@ -189,17 +192,19 @@ class BloomMap:
             paths = [[(start, k, 0)] for start, k in zip(starts, simple_ks)]
         # value i shares its first keep segments with value i - 1 (distinct
         # paths part before either ends); the rest are first held by i
-        extended, prior = [], ()
+        extended, prior, size = [], (), 0
         for i, path in enumerate(paths):
             keep = 0
             while keep < len(prior) and prior[keep][:3] == path[keep]:
                 keep += 1
+            size = max(size, max((start + k for start, k, _ in path[keep:]), default=0))
             prior = prior[:keep] + tuple((*seg, i, keep) for seg in path[keep:])
             extended.append(prior)
         self._paths = tuple(extended)
-        size = max(start + k for path in self._paths for start, k, *_ in path)
         self.family = HashFamily(seed, bits.m, size)
         self._pending: dict[bytes, int] | None = None if bits.frozen else {}
+        # query_many's tables, built on its first call; a race builds them twice
+        self._walk = None
 
     # -- shared geometry ----------------------------------------------
 
@@ -343,6 +348,87 @@ class BloomMap:
         found = value if value >= 0 else None
         label = None if found is None else self.dist.labels[found]
         return QueryOutcome(value_index=found, value=label, probes=probes, hash_evals=evals)
+
+    def query_many(self, keys) -> tuple[np.ndarray, np.ndarray]:
+        """Look up a batch of keys: (value_index, probes) as two int64
+        arrays, -1 marking a key reported absent.
+
+        Runs query's walk for every key at once, one probe per key a step.
+        A key's value is always the largest one under its current segment,
+        so a set segment hands on to the next segment of that value's path
+        and a zero bit to the first unprobed segment of value low - 1; a
+        key leaves the batch on a set leaf or when no value is left.
+        Answers and probe counts equal query's; base hash evaluations are
+        not counted.
+        """
+        if not self.bits.frozen:
+            raise ValueError("freeze the map before querying")
+        keys = [_as_key(key) for key in keys]
+        found = np.full(len(keys), -1, dtype=np.int64)
+        probes = np.zeros(len(keys), dtype=np.int64)
+        if not keys:
+            return found, probes
+        if self._walk is None:
+            self._walk = _walk_tables(self._paths)
+        first, last, offset, low, on_pass, on_fail, root = self._walk
+        by_len: dict[int, list[int]] = defaultdict(list)
+        for i, key in enumerate(keys):
+            by_len[len(key)].append(i)
+        h1 = np.empty(len(keys), dtype=np.uint64)
+        h2 = np.empty(len(keys), dtype=np.uint64)
+        for idx in by_len.values():
+            h1[idx], h2[idx] = self.family.digest_batch(*pack_keys([keys[i] for i in idx]))
+        # read whatever bit array the map holds now; keep no view of it
+        bits = np.frombuffer(self.bits._buf, dtype=np.uint8)
+        m = np.uint64(self.m)
+        live = np.arange(len(keys))
+        row = np.full(len(keys), root)
+        j = first[row]
+        step = 0
+        while live.size:
+            step += 1
+            pos = self.family.base_hash_batch(j, h1, h2)
+            pos += offset[row]
+            pos %= m
+            miss = ((bits[pos >> 3] >> (pos & 7)) & 1) == 0
+            leave = miss | (j == last[row])
+            nxt = np.where(leave, np.where(miss, on_fail[row], on_pass[row]), row)
+            done = nxt < 0
+            if done.any():
+                # a set leaf answers its value, a zero bit at value 0 answers -1
+                found[live[done]] = low[row[done]] - miss[done]
+                probes[live[done]] = step
+                kept = ~done
+                live, h1, h2 = live[kept], h1[kept], h2[kept]
+                j, leave, nxt = j[kept], leave[kept], nxt[kept]
+            row = nxt
+            j = np.where(leave, first[row], j + 1)
+        return found, probes
+
+
+def _walk_tables(paths) -> tuple:
+    """query_many's plan, one row per distinct segment of paths: at most
+    2b - 1 rows on a tree and b on the flat layout.
+
+    Row r holds the segment's first and last base index, its offset and
+    low; on_pass, the next segment on the path of the largest value that
+    holds it (-1 at a leaf, whose value is low); and on_fail, index keep
+    of value low - 1's path (-1 when low is 0).  Also returns the row of
+    value b - 1's first segment, where every walk starts.
+    """
+    rows: list[list[int]] = []
+    on_path: list[int] = []  # rows along the previous value's path
+    for i, path in enumerate(paths):
+        keep = path[-1][4]  # every segment value i adds shares its keep
+        fail = on_path[keep] if i else -1
+        del on_path[keep:]
+        for start, k, offset, _, _ in path[keep:]:
+            if on_path:  # a later child holds larger values
+                rows[on_path[-1]][4] = len(rows)
+            on_path.append(len(rows))
+            rows.append([start + 1, start + k, offset, i, -1, fail])
+    first, last, offset, low, on_pass, on_fail = np.array(rows, dtype=np.int64).T.copy()
+    return first, last, offset.astype(np.uint64), low, on_pass, on_fail, on_path[0]
 
 
 # -- builders ---------------------------------------------------------

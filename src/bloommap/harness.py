@@ -12,6 +12,8 @@ import math
 import random
 from dataclasses import dataclass
 
+import numpy as np
+
 from .core import BloomMap, build_simple, build_tree
 from .distribution import ValueDistribution, integer_counts
 
@@ -124,45 +126,39 @@ def measure(bmap: BloomMap, pairs, neg_samples: int, seed: int) -> ErrorReport:
 
     neg_samples must be at least 1000; below that the rates are mostly
     noise.  Labels may be bytes or str; one that the map's distribution
-    lacks raises UnknownValue.
+    lacks raises UnknownValue.  The stored keys and then the fresh ones go
+    through BloomMap.query_many, one batch each, which answers exactly as
+    query does.
     """
     if neg_samples < 1000:
         raise ValueError(f"need at least 1000 negative samples, got {neg_samples}")
     b = bmap.b
     label_index = {label: i for i, label in enumerate(bmap.dist.labels)}
-    counts = [0] * b
-    wrong = [0] * b
-    bottoms = [0] * b
-    probe_sums = [0] * b
-    stored = set()
+    keys, truth = [], []
     for key, label in pairs:
         try:
             i = label_index[label]
         except KeyError:  # a str label, or one outside the distribution
             i = bmap.dist.index_of(label)
-        counts[i] += 1
-        stored.add(key)
-        out = bmap.query(key)
-        probe_sums[i] += out.probes
-        if out.is_bottom:
-            bottoms[i] += 1
-        elif out.value_index != i:
-            wrong[i] += 1
+        keys.append(key)
+        truth.append(i)
+    truth = np.array(truth, dtype=np.int64)
+    found, probes = bmap.query_many(keys)
+    counts = np.bincount(truth, minlength=b).tolist()
+    wrong = np.bincount(truth[(found >= 0) & (found != truth)], minlength=b).tolist()
+    bottoms = np.bincount(truth[found < 0], minlength=b).tolist()
+    # float sums of integer probe counts stay exact below 2**53
+    probe_sums = np.bincount(truth, weights=probes, minlength=b).astype(np.int64).tolist()
+    stored = set(keys)
     rnd = random.Random(seed)
-    hits = 0
-    neg_probes = 0
-    done = 0
-    while done < neg_samples:
+    absent = []
+    while len(absent) < neg_samples:
         key = rnd.randbytes(KEY_BYTES)
-        if key in stored:
-            continue
-        out = bmap.query(key)
-        done += 1
-        neg_probes += out.probes
-        if not out.is_bottom:
-            hits += 1
+        if key not in stored:
+            absent.append(key)
+    found, probes = bmap.query_many(absent)
     return ErrorReport(
-        false_positive_rate=hits / neg_samples,
+        false_positive_rate=int(np.count_nonzero(found >= 0)) / neg_samples,
         misassignment_rates=tuple(
             wrong[i] / counts[i] if counts[i] else 0.0 for i in range(b)
         ),
@@ -170,7 +166,7 @@ def measure(bmap: BloomMap, pairs, neg_samples: int, seed: int) -> ErrorReport:
             bottoms[i] / counts[i] if counts[i] else 0.0 for i in range(b)
         ),
         zero_fraction=bmap.bits.zero_fraction(),
-        neg_probe_mean=neg_probes / neg_samples,
+        neg_probe_mean=int(probes.sum()) / neg_samples,
         pos_probe_means=tuple(
             probe_sums[i] / counts[i] if counts[i] else 0.0 for i in range(b)
         ),

@@ -153,8 +153,18 @@ class HashFamily:
         h1 = hash_words(self.master_seed, words, length)
         return h1, _fmix64_np(h1) | _ONE
 
-    def base_hash_batch(self, j: int, h1: np.ndarray, h2: np.ndarray) -> np.ndarray:
-        """Vectorized base_hash over digest_batch output; identical outputs."""
-        if not 1 <= j <= self.k:
+    def base_hash_batch(self, j, h1: np.ndarray, h2: np.ndarray) -> np.ndarray:
+        """Vectorized base_hash over digest_batch output; identical outputs.
+
+        j is one index for every key, or an integer array holding each
+        key's own index.
+        """
+        if isinstance(j, np.ndarray):
+            if j.size and not (1 <= j.min() and j.max() <= self.k):
+                raise IndexError(f"hash indices {j.min()}..{j.max()} outside 1..{self.k}")
+            step = j.astype(np.uint64)
+        elif not 1 <= j <= self.k:
             raise IndexError(f"hash index {j} outside 1..{self.k}")
-        return _reduce_np(h1 + np.uint64(j) * h2, self.m)
+        else:
+            step = np.uint64(j)
+        return _reduce_np(h1 + step * h2, self.m)

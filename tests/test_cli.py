@@ -72,6 +72,28 @@ def test_build_query_inspect_flow(pairs_tsv, tmp_path, capsys):
     assert record["values"] == "a, b, c, d"
 
 
+def test_query_takes_repeated_keys(pairs_tsv, tmp_path, capsys):
+    out = str(tmp_path / "demo.bmap")
+    assert _build(pairs_tsv, out) == 0
+    capsys.readouterr()
+    keys = ["key-03", "key-13", "never stored"]
+    argv = ["query", out] + [f"--key={key}" for key in keys]
+    assert cli_main(argv) == 0
+    assert capsys.readouterr().out.splitlines() == ["a", "c", "BOTTOM"]
+    assert cli_main(argv + ["--probes"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    bmap = load(out)
+    want = []
+    for key in keys:
+        outcome = bmap.query(key.encode())
+        want.append("BOTTOM" if outcome.is_bottom else outcome.value.decode())
+        want.append(f"probes={outcome.probes} hash_evals={outcome.hash_evals}")
+    assert lines == want
+    # one --key prints exactly what it printed before the flag repeated
+    assert cli_main(["query", out, "--key", "key-13", "--probes"]) == 0
+    assert capsys.readouterr().out.splitlines() == want[2:4]
+
+
 def test_inspect_flat_map(pairs_tsv, tmp_path, capsys):
     out = str(tmp_path / "flat.bmap")
     assert _build(pairs_tsv, out, variant="simple") == 0

@@ -6,6 +6,7 @@ the vectorized write path produces bit-for-bit the same array as the
 scalar one.
 """
 
+import copy
 import dataclasses
 import math
 import random
@@ -25,8 +26,10 @@ from bloommap import (
     UnknownValue,
     build_simple,
     build_tree,
+    load,
     new_distribution,
     plan_tree_map,
+    save,
     uniform_distribution,
     zero_fraction,
 )
@@ -37,7 +40,7 @@ from bloommap.codetree import (
     build_alphabetic_tree,
 )
 from bloommap.core import BitArray, simple_analytic_bounds, simple_hash_counts
-from bloommap.harness import PMapSpec, generate_pmap
+from bloommap.harness import PMapSpec, build_variant, generate_pmap
 from bloommap.hashing import HashFamily
 
 LOG2E = math.log2(math.e)
@@ -518,6 +521,114 @@ def test_tree_query_matches_right_first_walk(scheme, weights, eps_bits, seed, fi
     for key in stored + [f"absent-{t}".encode() for t in range(20)]:
         out = bmap.query(key)
         assert (out.value_index, out.probes, out.hash_evals) == _tree_reference(bmap, key)
+
+
+def _with_noise(bmap, fill, seed):
+    """Swap in a frozen copy of the map's bits OR-ed with random noise."""
+    noise = np.random.default_rng(seed).random(bmap.m) < fill
+    data = np.frombuffer(bmap.bits.to_bytes(), dtype=np.uint8)
+    data = data | np.packbits(noise, bitorder="little")
+    bmap.bits = BitArray(bmap.m, data.tobytes())
+    bmap.bits.freeze()
+
+
+def _assert_batch_matches_scalar(bmap, keys):
+    found, probes = bmap.query_many(keys)
+    assert found.dtype == probes.dtype == np.int64
+    scalar = [bmap.query(key) for key in keys]
+    assert found.tolist() == [-1 if o.is_bottom else o.value_index for o in scalar]
+    assert probes.tolist() == [o.probes for o in scalar]
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    variant=st.sampled_from(["simple", "standard", "fast", "custom"]),
+    weights=st.lists(st.integers(1, 20), min_size=1, max_size=64),
+    eps_bits=st.integers(2, 8),
+    seed=st.integers(0, 2 ** 32 - 1),
+    fill=st.sampled_from([0.0, 0.3, 0.5, 0.7, 0.9, 1.0]),
+)
+def test_query_many_matches_query(variant, weights, eps_bits, seed, fill):
+    rnd = random.Random(seed)
+    b = len(weights)
+    d = new_distribution(weights, [f"v{i}" for i in range(b)])
+    eps = 2.0 ** -eps_bits
+    pairs = [(f"k{t}".encode(), d.labels[rnd.randrange(b)]) for t in range(rnd.randint(1, 3 * b))]
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", UserWarning)  # advisory sizing budget
+        if variant == "simple":
+            bmap = build_simple(pairs, d, eps, seed)
+        else:
+            custom = _custom_counts(d, eps, rnd) if variant == "custom" else None
+            bmap = build_tree(pairs, d, eps, seed, variant, custom=custom)
+    _with_noise(bmap, fill, seed)
+    keys = [key for key, _ in pairs] + [f"absent-{t}".encode() for t in range(20)]
+    _assert_batch_matches_scalar(bmap, keys)
+
+
+def test_query_many_edge_keys():
+    pairs = [(b"", "a"), (b"x" * 65, "b"), ("caf\u00e9", "c"), (b"k" * 8, "d")]
+    pairs += generate_pmap(PMapSpec(SKEW, 200, seed=5))
+    for bmap in (build_simple(pairs, SKEW, 2 ** -4, seed=6),
+                 build_tree(pairs, SKEW, 2 ** -4, seed=6, scheme="standard")):
+        found, probes = bmap.query_many([])
+        assert found.dtype == probes.dtype == np.int64
+        assert found.shape == probes.shape == (0,)
+        keys = [b"", b"", b"x" * 65, b"y" * 200, "caf\u00e9", "caf\u00e9".encode(), b"k" * 8]
+        keys += [bytes(range(n)) for n in range(0, 70, 3)]
+        keys += [key for key, _ in pairs[4:60]]
+        _assert_batch_matches_scalar(bmap, keys)
+        found, _ = bmap.query_many([b"", b"x" * 65, "caf\u00e9", b"k" * 8])
+        assert all(got >= want for got, want in zip(found.tolist(), range(4)))
+
+
+def test_query_many_needs_a_frozen_map():
+    bmap = plan_tree_map(SKEW, 2 ** -4, seed=1, n=10)
+    bmap.store(b"k", 0)
+    with pytest.raises(ValueError, match="freeze"):
+        bmap.query_many([b"k"])
+    with pytest.raises(ValueError, match="freeze"):
+        bmap.query_many([])
+    with pytest.raises(TypeError):
+        build_simple([(b"k", "a")], SKEW, 2 ** -4, seed=1).query_many([1])
+
+
+def test_query_many_reads_the_bits_the_map_holds_now(tmp_path):
+    # a shallow copy given damaged bits must answer from them, even after
+    # the original has built and cached its walk tables
+    pairs = generate_pmap(PMapSpec(SKEW, 2000, seed=8))
+    bmap = build_tree(pairs, SKEW, 2 ** -7, seed=9, scheme="standard")
+    keys = [key for key, _ in pairs[:300]] + [f"absent-{t}".encode() for t in range(300)]
+    found, probes = bmap.query_many(keys)
+    broken = copy.copy(bmap)
+    data = bytearray(bmap.bits.to_bytes())
+    data[::2] = bytes(len(data[::2]))
+    broken.bits = BitArray(bmap.m, bytes(data))
+    broken.bits.freeze()
+    _assert_batch_matches_scalar(broken, keys)
+    lost, _ = broken.query_many(keys[:300])
+    truth = [SKEW.index_of(label) for _, label in pairs[:300]]
+    assert any(got < want for got, want in zip(lost.tolist(), truth))
+    assert (bmap.query_many(keys)[0] == found).all()
+
+    path = tmp_path / "m.bmap"
+    save(bmap, path)
+    loaded = load(path)
+    assert loaded._walk is None  # built on the first query_many, not by load
+    again_found, again_probes = loaded.query_many(keys)
+    assert (again_found == found).all() and (again_probes == probes).all()
+
+
+@pytest.mark.parametrize("variant", ["simple", "standard", "fast"])
+def test_walk_tables_hold_one_row_per_segment(variant):
+    weights = [0.9 ** i for i in range(40)]
+    d = new_distribution(weights, [f"v{i}" for i in range(40)])
+    pairs = [(f"k{t}".encode(), d.labels[t % 40]) for t in range(400)]
+    bmap = build_variant(pairs, d, 2 ** -5, 3, variant)
+    assert bmap._walk is None
+    bmap.query_many([b"k0"])
+    rows = len(bmap._walk[0])
+    assert rows == (d.b if variant == "simple" else len(bmap.tree.nodes)) <= 2 * d.b - 1
 
 
 def test_call_counts_equal_reported_counts(monkeypatch):

@@ -1,6 +1,7 @@
 """Workload generation, discard builds, and measurement."""
 
 import math
+import random
 
 import pytest
 
@@ -147,6 +148,59 @@ def test_measure_counts_and_rates():
         sums[i] += bmap.query(key).probes
     for i, count in enumerate(report.pos_counts):
         assert report.pos_probe_means[i] == pytest.approx(sums[i] / count)
+
+
+def _scalar_measure(bmap, pairs, neg_samples, seed):
+    """measure() as one scalar query per key: the report it must equal."""
+    b = bmap.b
+    counts, wrong, bottoms, probe_sums = [0] * b, [0] * b, [0] * b, [0] * b
+    for key, label in pairs:
+        i = bmap.dist.index_of(label)
+        out = bmap.query(key)
+        counts[i] += 1
+        probe_sums[i] += out.probes
+        bottoms[i] += out.is_bottom
+        wrong[i] += not out.is_bottom and out.value_index != i
+    stored = {key for key, _ in pairs}
+    rnd = random.Random(seed)
+    hits = neg_probes = done = 0
+    while done < neg_samples:
+        key = rnd.randbytes(KEY_BYTES)
+        if key in stored:
+            continue
+        out = bmap.query(key)
+        done += 1
+        neg_probes += out.probes
+        hits += not out.is_bottom
+
+    def rates(tally):
+        return tuple(t / c if c else 0.0 for t, c in zip(tally, counts))
+
+    return ErrorReport(
+        false_positive_rate=hits / neg_samples,
+        misassignment_rates=rates(wrong),
+        false_negative_rates=rates(bottoms),
+        zero_fraction=bmap.bits.zero_fraction(),
+        neg_probe_mean=neg_probes / neg_samples,
+        pos_probe_means=rates(probe_sums),
+        pos_counts=tuple(counts),
+        neg_samples=neg_samples,
+    )
+
+
+@pytest.mark.parametrize("variant", ["simple", "standard", "fast"])
+def test_measure_matches_a_scalar_tally(variant):
+    # loose epsilon and a discard build make misassignments and false
+    # negatives common, so every tally is exercised
+    dist = new_distribution([5, 3, 2, 1, 1], "abcde")
+    pairs = generate_pmap(PMapSpec(dist, 600, seed=3))
+    for bmap in (build_variant(pairs, dist, 2 ** -2, 4, variant),
+                 build_with_discard(pairs, dist, 2 ** -3, 4, variant, 0.2)):
+        report = measure(bmap, pairs, 1200, seed=5)
+        assert report == _scalar_measure(bmap, pairs, 1200, seed=5)
+        assert max(report.misassignment_rates) > 0.0
+    assert max(report.false_negative_rates) > 0.0
+    assert measure(bmap, [], 1000, seed=6) == _scalar_measure(bmap, [], 1000, seed=6)
 
 
 def test_measure_is_deterministic():

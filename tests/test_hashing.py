@@ -40,6 +40,11 @@ def test_index_bounds():
             fam.base_hash(j, b"k")
         with pytest.raises(IndexError):
             fam.base_hash_batch(j, *digest)
+        with pytest.raises(IndexError):
+            fam.base_hash_batch(np.array([j]), *digest)
+    assert fam.base_hash_batch(np.array([2]), *digest).tolist() == [fam.base_hash(2, b"k")]
+    empty = fam.digest_batch(np.zeros((0, 1), dtype="<u8"), 8)
+    assert fam.base_hash_batch(np.array([], dtype=np.int64), *empty).shape == (0,)
 
 
 def test_memo_serves_only_the_key_it_holds():
@@ -101,19 +106,24 @@ _EQUAL_LENGTH_KEYS = st.integers(0, 40).flatmap(
     keys=_EQUAL_LENGTH_KEYS,
     seed=st.integers(0, (1 << 64) - 1),
     k=st.integers(2, 2000),
+    picks=st.lists(st.integers(0, (1 << 16) - 1), min_size=8, max_size=8),
 )
-@example(m=(1 << 32) - 1, keys=[b"0123456789abcdef"], seed=0, k=2)
-@example(m=1 << 32, keys=[b"0123456789abcdef"], seed=0, k=2)
-@example(m=(1 << 64) - 1, keys=[b"0123456789abcdef"], seed=0, k=2)
-def test_batch_matches_scalar_for_every_range(m, keys, seed, k):
+@example(m=(1 << 32) - 1, keys=[b"0123456789abcdef"], seed=0, k=2, picks=[1] * 8)
+@example(m=1 << 32, keys=[b"0123456789abcdef"], seed=0, k=2, picks=[1] * 8)
+@example(m=(1 << 64) - 1, keys=[b"0123456789abcdef"], seed=0, k=2, picks=[1] * 8)
+def test_batch_matches_scalar_for_every_range(m, keys, seed, k, picks):
     # the batch digest and reduction are exact for every m, including
-    # m >= 2**32, and j * h2 wraps mod 2**64 alike on both paths
+    # m >= 2**32, and j * h2 wraps mod 2**64 alike on both paths, whether
+    # j is one index for the batch or an array with one per key
     fam = HashFamily(seed, m, k)
     digest = fam.digest_batch(*pack_keys(keys))
     for j in (1, 2, k):
         scalar = [fam.base_hash(j, key) for key in keys]
         assert fam.base_hash_batch(j, *digest).tolist() == scalar
         assert all(0 <= pos < m for pos in scalar)
+    js = [pick % k + 1 for pick in picks[: len(keys)]]
+    scalar = [fam.base_hash(j, key) for j, key in zip(js, keys)]
+    assert fam.base_hash_batch(np.array(js), *digest).tolist() == scalar
 
 
 def test_pack_keys_rejects_ragged_input():
