@@ -68,7 +68,6 @@ class CodeTree:
         self.nodes: list[TreeNode] = []
         self.root: int | None = None
         self.leaves: tuple[int, ...] = ()
-        self._paths: tuple[tuple[int, ...], ...] = ()
         self.certification: CertificationReport | None = None
 
     # -- construction -------------------------------------------------
@@ -103,15 +102,6 @@ class CodeTree:
         for value_index, idx in enumerate(leaves):
             self.nodes[idx].value_index = value_index
         self.leaves = tuple(leaves)
-        paths = []
-        for idx in leaves:
-            path = []
-            cur: int | None = idx
-            while cur is not None:
-                path.append(cur)
-                cur = self.nodes[cur].parent
-            paths.append(tuple(reversed(path)))
-        self._paths = tuple(paths)
 
     # -- lookups ------------------------------------------------------
 
@@ -124,7 +114,12 @@ class CodeTree:
 
     def path_ids(self, value_index: int) -> tuple[int, ...]:
         """Node indices from the root down to the leaf of this value."""
-        return self._paths[value_index]
+        path = []
+        cur: int | None = self.leaves[value_index]
+        while cur is not None:
+            path.append(cur)
+            cur = self.nodes[cur].parent
+        return tuple(reversed(path))
 
     def path_weight(self, value_index: int) -> int:
         """Total hash count t_i along the path of value i."""
@@ -393,6 +388,8 @@ def certify_error_bounds(tree: CodeTree, epsilon: float) -> CertificationReport:
     satisfies report.certified.
     """
     _check_epsilon(epsilon)
+    refresh_base_starts(tree)  # a leaf bump moves no slice, so t_i stays base_start + k
+    leaves = [tree.nodes[w] for w in tree.leaves]
     bumped: list[int] = []
     while True:
         fp, mis = analytic_error_bounds(tree)
@@ -404,7 +401,7 @@ def certify_error_bounds(tree: CodeTree, epsilon: float) -> CertificationReport:
                 worst_constraint = i
         if worst_gap <= 0.0:
             break
-        t = [tree.path_weight(i) for i in range(tree.b)]
+        t = [leaf.base_start + leaf.k for leaf in leaves]
         if worst_constraint < 0:
             target = min(range(tree.b), key=lambda i: t[i])
         else:
@@ -414,9 +411,8 @@ def certify_error_bounds(tree: CodeTree, epsilon: float) -> CertificationReport:
                 range(i + 1, tree.b),
                 key=lambda j: t[j] - sum(tree.nodes[w].k for w in tree.path_ids(j) if w in shared),
             )
-        tree.nodes[tree.leaves[target]].k += 1
+        leaves[target].k += 1
         bumped.append(target)
-    refresh_base_starts(tree)
     return CertificationReport(
         epsilon=epsilon,
         false_positive_bound=fp,
@@ -444,8 +440,9 @@ def compute_geometry(tree: CodeTree, counts, epsilon: float) -> Geometry:
     """Size the bit array: m = ceil(log2(e) * sum_i count_i * t_i).
 
     counts are the per-value key counts; t_i is the total hash count on
-    value i's root-to-leaf path.  The budget check is advisory only; a
-    violation warns and building proceeds.
+    value i's root-to-leaf path, which ends at its leaf's last base index
+    since the slices run consecutively down every path.  The budget check
+    is advisory only; a violation warns and building proceeds.
     """
     _check_epsilon(epsilon)
     if len(counts) != tree.b:
@@ -456,7 +453,7 @@ def compute_geometry(tree: CodeTree, counts, epsilon: float) -> Geometry:
     if n == 0:
         raise ValueError("refusing to size an empty map (all counts zero)")
     refresh_base_starts(tree)
-    t = tuple(tree.path_weight(i) for i in range(tree.b))
+    t = tuple(tree.nodes[w].base_start + tree.nodes[w].k for w in tree.leaves)
     m = math.ceil(LOG2E * sum(c * ti for c, ti in zip(counts, t)))
     limit = 2.0 * n * LOG2E * math.log2(tree.b / epsilon)
     ok = m <= limit
@@ -474,11 +471,8 @@ def compute_geometry(tree: CodeTree, counts, epsilon: float) -> Geometry:
 
 def left_branch_count(tree: CodeTree, value_index: int) -> int:
     """Number of left turns on the path to value_index's leaf."""
-    count = 0
-    for above, below in zip(tree.path_ids(value_index), tree.path_ids(value_index)[1:]):
-        if tree.nodes[above].left == below:
-            count += 1
-    return count
+    path = tree.path_ids(value_index)
+    return sum(tree.nodes[above].left == below for above, below in zip(path, path[1:]))
 
 
 # -- structural inequalities ------------------------------------------
@@ -526,10 +520,10 @@ def tree_property_report(tree: CodeTree) -> TreePropertyReport:
         path_diff = None
     else:
         path_diff = True
-        for i in range(b):
-            pi = tree.path_ids(i)
+        paths = [tree.path_ids(i) for i in range(b)]
+        for i, pi in enumerate(paths):
             for j in range(i + 1, b):
-                pj = tree.path_ids(j)
+                pj = paths[j]
                 shared = 0
                 for a, c in zip(pi, pj):
                     if a != c:

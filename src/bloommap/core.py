@@ -50,7 +50,7 @@ class BitArray:
     the array is read-only and safe to share between query threads.
     """
 
-    __slots__ = ("m", "_buf", "_frozen")
+    __slots__ = ("m", "_buf", "_frozen", "_ones")
 
     def __init__(self, m: int, data: bytes | None = None):
         if m < 1:
@@ -64,6 +64,7 @@ class BitArray:
             self._buf = bytearray(data)
         self.m = m
         self._frozen = False
+        self._ones: int | None = None  # counted once the array is frozen
 
     def get_bit(self, i: int) -> int:
         return (self._buf[i >> 3] >> (i & 7)) & 1
@@ -94,7 +95,11 @@ class BitArray:
         return self._frozen
 
     def ones(self) -> int:
-        return int.from_bytes(bytes(self._buf), "little").bit_count()
+        count = self._ones
+        if count is None:
+            count = int.from_bytes(self._buf, "little").bit_count()
+            self._ones = count if self._frozen else None
+        return count
 
     def zero_fraction(self) -> float:
         """Fraction of the m bits still zero."""
@@ -159,19 +164,18 @@ class BloomMap:
     build_simple.  Frozen maps never mutate and may be queried from any
     number of threads.
 
-    _paths is the single description of the bits a value's key touches:
-    entry i lists value i's (base_start, k, offset, low, keep) segments,
-    one per node on its root-to-leaf path, or the one segment
-    (start_i, k_i, 0, i, 0) of its flat block.  The key then touches bit
-    (base_hash(base_start + j, key) + offset) % m for j = 1..k of every
-    segment; the level-order offset keeps sibling subtrees that reuse base
-    indices decorrelated.  Every base_hash(j, key) is the j-th double hash
-    of one digest of the key (see hashing.py), so storing or looking up a
-    key hashes its bytes once however many bits it touches.  low is the
-    smallest value whose path holds the segment, so a query that finds a
-    zero bit there moves on to value low - 1, whose first keep segments
-    are shared with the path just probed and already known set.  Storing,
-    both query forms and the size of the hash family all read it.
+    _plan, O(b) rows (first, last, offset, low, on_pass, on_fail, up),
+    one per tree node in preorder or per flat block, is the single
+    description of the bits a key touches.  A key whose value's path holds
+    a row touches bit (base_hash(j, key) + offset) % m for j = first..last;
+    the level-order offset decorrelates sibling subtrees that reuse base
+    indices, and every base_hash is a double hash of one digest of the key
+    (hashing.py).  low is the smallest value under the row and up its
+    parent (-1 at the top), so value i's path climbs from its leaf row.  A
+    walk that finds the row set moves to on_pass, the right child (-1 at a
+    leaf, which answers low); a zero bit moves it to on_fail, where value
+    low - 1's path leaves the rows known set (-1 when low is 0).  Storing,
+    both query forms, the hash family's size and the file digest read it.
     """
 
     def __init__(self, *, variant: str, dist: ValueDistribution, epsilon: float,
@@ -184,27 +188,17 @@ class BloomMap:
         self.tree = tree
         self.simple_ks = simple_ks
         self.n = n
-        if tree is not None:
-            segments = [(node.base_start, node.k, node.offset) for node in tree.nodes]
-            paths = [[segments[w] for w in tree.path_ids(i)] for i in range(tree.b)]
-        else:
-            starts = accumulate(simple_ks, initial=0)
-            paths = [[(start, k, 0)] for start, k in zip(starts, simple_ks)]
-        # value i shares its first keep segments with value i - 1 (distinct
-        # paths part before either ends); the rest are first held by i
-        extended, prior, size = [], (), 0
-        for i, path in enumerate(paths):
-            keep = 0
-            while keep < len(prior) and prior[keep][:3] == path[keep]:
-                keep += 1
-            size = max(size, max((start + k for start, k, _ in path[keep:]), default=0))
-            prior = prior[:keep] + tuple((*seg, i, keep) for seg in path[keep:])
-            extended.append(prior)
-        self._paths = tuple(extended)
-        self.family = HashFamily(seed, bits.m, size)
+        self._plan = rows = _tree_rows(tree) if tree is not None else [
+            [start + 1, start + k, 0, i, -1, i - 1, -1]
+            for i, (start, k) in enumerate(zip(accumulate(simple_ks, initial=0), simple_ks))
+        ]
+        self._leaves = tuple(r for r, row in enumerate(rows) if row[4] < 0)
+        # every walk starts atop value b - 1's path: the root, or the last block
+        self._top = 0 if tree is not None else len(rows) - 1
+        first, last, offset, low, on_pass, on_fail, _ = np.array(rows, dtype=np.int64).T.copy()
+        self._columns = (first, last, offset.astype(np.uint64), low, on_pass, on_fail)
+        self.family = HashFamily(seed, bits.m, int(last.max()))
         self._pending: dict[bytes, int] | None = None if bits.frozen else {}
-        # query_many's tables, built on its first call; a race builds them twice
-        self._walk = None
 
     # -- shared geometry ----------------------------------------------
 
@@ -280,8 +274,10 @@ class BloomMap:
         if not self._note_pair(key, value_index):
             return
         m = self.m
-        for start, k, offset, _, _ in self._paths[value_index]:
-            for j in range(start + 1, start + k + 1):
+        row = self._leaves[value_index]
+        while row >= 0:  # climb value_index's path from its leaf row
+            first, last, offset, _, _, _, row = self._plan[row]
+            for j in range(first, last + 1):
                 self.bits.set_bit((self.family.base_hash(j, key) + offset) % m)
 
     def _store_batch(self, pairs_by_value: dict[int, list[bytes]]) -> None:
@@ -295,8 +291,10 @@ class BloomMap:
                     by_len[len(key)].append(key)
             for bucket in by_len.values():
                 h1, h2 = self.family.digest_batch(*pack_keys(bucket))
-                for start, k, offset, _, _ in self._paths[value_index]:
-                    for j in range(start + 1, start + k + 1):
+                row = self._leaves[value_index]
+                while row >= 0:
+                    first, last, offset, _, _, _, row = self._plan[row]
+                    for j in range(first, last + 1):
                         pos = self.family.base_hash_batch(j, h1, h2)
                         chunks.append((pos + np.uint64(offset)) % m if offset else pos)
         if chunks:
@@ -314,8 +312,9 @@ class BloomMap:
     def query(self, key) -> QueryOutcome:
         """Look up a key.  Never reports absence for a stored key.
 
-        Walks _paths from value b - 1 down to the first whole path that is
-        set, caching base hashes by index so subtrees sharing them reuse them.
+        Walks _plan from the top of value b - 1's path down to the first
+        whole path that is set, caching base hashes by index so subtrees
+        sharing them reuse them.
         """
         if not self.bits.frozen:
             raise ValueError("freeze the map before querying")
@@ -323,29 +322,29 @@ class BloomMap:
         get_bit = self.bits.get_bit
         base_hash = self.family.base_hash
         m = self.m
-        paths = self._paths
+        plan = self._plan
         cache = [None] * (self.family.k + 1)
         probes = 0
-        value, skip = len(paths) - 1, 0
-        while value >= 0:
-            for start, k, offset, low, keep in paths[value][skip:]:
-                for j in range(start + 1, start + k + 1):
-                    h = cache[j]
-                    if h is None:
-                        h = cache[j] = base_hash(j, key)
-                    if not get_bit((h + offset) % m):
-                        break
-                else:
-                    probes += k
-                    continue
-                probes += j - start  # the zero bit was probe j - start
-                value, skip = low - 1, keep
-                break
+        row, found = self._top, None
+        while row >= 0:
+            first, last, offset, low, on_pass, on_fail, _ = plan[row]
+            for j in range(first, last + 1):
+                h = cache[j]
+                if h is None:
+                    h = cache[j] = base_hash(j, key)
+                if not get_bit((h + offset) % m):
+                    break
             else:
-                break  # the whole path is set
+                probes += last - first + 1
+                if on_pass < 0:
+                    found = low  # the whole path is set
+                    break
+                row = on_pass
+                continue
+            probes += j - first + 1  # the zero bit was probe j - first + 1
+            row = on_fail
         # each evaluated index fills one cache slot; slot 0 is never used
         evals = len(cache) - cache.count(None)
-        found = value if value >= 0 else None
         label = None if found is None else self.dist.labels[found]
         return QueryOutcome(value_index=found, value=label, probes=probes, hash_evals=evals)
 
@@ -355,9 +354,8 @@ class BloomMap:
 
         Runs query's walk for every key at once, one probe per key a step.
         A key's value is always the largest one under its current segment,
-        so a set segment hands on to the next segment of that value's path
-        and a zero bit to the first unprobed segment of value low - 1; a
-        key leaves the batch on a set leaf or when no value is left.
+        so a set row hands on to on_pass and a zero bit to on_fail; a key
+        leaves the batch on a set leaf or when no value is left.
         Answers and probe counts equal query's; base hash evaluations are
         not counted.
         """
@@ -368,9 +366,7 @@ class BloomMap:
         probes = np.zeros(len(keys), dtype=np.int64)
         if not keys:
             return found, probes
-        if self._walk is None:
-            self._walk = _walk_tables(self._paths)
-        first, last, offset, low, on_pass, on_fail, root = self._walk
+        first, last, offset, low, on_pass, on_fail = self._columns
         by_len: dict[int, list[int]] = defaultdict(list)
         for i, key in enumerate(keys):
             by_len[len(key)].append(i)
@@ -382,7 +378,7 @@ class BloomMap:
         bits = np.frombuffer(self.bits._buf, dtype=np.uint8)
         m = np.uint64(self.m)
         live = np.arange(len(keys))
-        row = np.full(len(keys), root)
+        row = np.full(len(keys), self._top)
         j = first[row]
         step = 0
         while live.size:
@@ -406,29 +402,26 @@ class BloomMap:
         return found, probes
 
 
-def _walk_tables(paths) -> tuple:
-    """query_many's plan, one row per distinct segment of paths: at most
-    2b - 1 rows on a tree and b on the flat layout.
-
-    Row r holds the segment's first and last base index, its offset and
-    low; on_pass, the next segment on the path of the largest value that
-    holds it (-1 at a leaf, whose value is low); and on_fail, index keep
-    of value low - 1's path (-1 when low is 0).  Also returns the row of
-    value b - 1's first segment, where every walk starts.
-    """
+def _tree_rows(tree) -> list[list[int]]:
+    """The plan rows of a code tree, one per node in preorder."""
     rows: list[list[int]] = []
-    on_path: list[int] = []  # rows along the previous value's path
-    for i, path in enumerate(paths):
-        keep = path[-1][4]  # every segment value i adds shares its keep
-        fail = on_path[keep] if i else -1
-        del on_path[keep:]
-        for start, k, offset, _, _ in path[keep:]:
-            if on_path:  # a later child holds larger values
-                rows[on_path[-1]][4] = len(rows)
-            on_path.append(len(rows))
-            rows.append([start + 1, start + k, offset, i, -1, fail])
-    first, last, offset, low, on_pass, on_fail = np.array(rows, dtype=np.int64).T.copy()
-    return first, last, offset.astype(np.uint64), low, on_pass, on_fail, on_path[0]
+    low = 0  # a node's smallest value is the next leaf in preorder
+    stack = [(tree.root, -1, -1)]  # (node, parent row, on_fail)
+    while stack:
+        idx, up, fail = stack.pop()
+        node = tree.nodes[idx]
+        if up >= 0 and tree.nodes[node.parent].right == idx:
+            rows[up][4] = len(rows)
+        rows.append([node.base_start + 1, node.base_start + node.k, node.offset,
+                     low, -1, fail, up])
+        if node.is_leaf:
+            low += 1
+        else:
+            # a left child fails where its parent does; a right child fails
+            # to its left sibling, which directly follows the parent
+            stack.append((node.right, len(rows) - 1, len(rows)))
+            stack.append((node.left, len(rows) - 1, fail))
+    return rows
 
 
 # -- builders ---------------------------------------------------------

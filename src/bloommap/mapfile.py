@@ -19,10 +19,11 @@ Simple, standard and fast files state no hash count: load derives them
 from (distribution, epsilon, variant) with simple_hash_counts or
 codetree.plan_tree.  Custom counts are certified again for the file's
 epsilon and must need no bump.  plan is a CRC-32 of the probe plan
-(_paths) the map was saved with, taken over the segments each value adds
-to its predecessor's path; load rejects a file whose recomputed plan
-differs, so a later change to the planner cannot silently misread an
-older file.  Version 1 files stored the plan itself and do not load.
+(BloomMap._plan) the map was saved with, taken over the segments each
+value adds to its predecessor's path; load rejects a file whose
+recomputed plan differs, so a later change to the planner cannot
+silently misread an older file.  Version 1 files stored the plan itself
+and do not load.
 
 hash_algo 1, double hashing from one 64-bit digest per key (hashing.py),
 is the only code written or read.  Files with code 0 set their bits by
@@ -56,10 +57,18 @@ _CRC = struct.Struct("<I")
 
 
 def _plan_digest(bmap: BloomMap) -> int:
-    # path i is path i - 1's first keep segments plus those value i adds,
-    # which end it and record keep: the added segments fix every path
-    added = [path[path[-1][4]:] for path in bmap._paths]
-    return zlib.crc32(repr(added).encode())
+    # the segments value i adds to value i - 1's path fix every path; in
+    # the preorder plan they are the rows with low == i, top-down, taken as
+    # (base_start, k, offset, i, keep) with keep the depth of the first
+    depth: list[int] = []
+    added: list[list[tuple]] = []
+    for first, last, offset, low, _, _, up in bmap._plan:
+        depth.append(depth[up] + 1 if up >= 0 else 0)
+        if low == len(added):
+            added.append([])
+            keep = depth[-1]
+        added[low].append((first - 1, last - first + 1, offset, low, keep))
+    return zlib.crc32(repr([tuple(segments) for segments in added]).encode())
 
 
 # -- writing ----------------------------------------------------------

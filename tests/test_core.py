@@ -8,6 +8,7 @@ scalar one.
 
 import copy
 import dataclasses
+import itertools
 import math
 import random
 import warnings
@@ -86,6 +87,26 @@ def test_set_many_matches_scalar_sets():
     empty = BitArray(10)
     empty.set_many(np.array([], dtype=np.uint64))
     assert empty.ones() == 0
+
+
+def test_frozen_bit_array_keeps_its_count():
+    bits = BitArray(1000)
+    bits.set_many(np.arange(0, 1000, 3, dtype=np.uint64))
+    assert bits.ones() == 334
+    bits.set_bit(1)  # an unfrozen array counts afresh on every call
+    before = bits.zero_fraction()
+    assert before == 665 / 1000
+    bits.freeze()
+    assert bits.zero_fraction() == bits.zero_fraction() == before
+    assert bits.ones() == 335
+    # a map copy given a new array reports that array's count, not the old one's
+    bmap = build_simple(generate_pmap(PMapSpec(SKEW, 300, seed=4)), SKEW, 2 ** -5, seed=4)
+    kept = zero_fraction(bmap)
+    cleared = copy.copy(bmap)
+    cleared.bits = BitArray(bmap.m)
+    cleared.bits.freeze()
+    assert zero_fraction(cleared) == 1.0
+    assert zero_fraction(bmap) == kept < 1.0
 
 
 def test_frozen_bit_array_rejects_writes():
@@ -302,13 +323,18 @@ def test_builds_are_deterministic_and_seed_sensitive():
 
 
 def test_batch_store_matches_scalar_store():
-    pairs = generate_pmap(PMapSpec(SKEW, 300, seed=8))
-    counts = tuple(sum(1 for _, lab in pairs if lab == l) for l in SKEW.labels)
-    for scheme in ("standard", "fast"):
-        fast_path = build_tree(pairs, SKEW, 2 ** -6, seed=5, scheme=scheme)
-        slow = plan_tree_map(SKEW, 2 ** -6, seed=5, scheme=scheme, counts=counts)
+    # 40 values reach depth 9, so each store climbs a long path
+    deep = new_distribution([0.9 ** i for i in range(40)], [f"v{i}" for i in range(40)])
+    for dist, scheme in itertools.product((SKEW, deep), ("standard", "fast", "custom")):
+        pairs = generate_pmap(PMapSpec(dist, 300, seed=8))
+        counts = tuple(sum(1 for _, lab in pairs if lab == l) for l in dist.labels)
+        custom = _custom_counts(dist, 2 ** -6, random.Random(8)) if scheme == "custom" else None
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", UserWarning)  # advisory sizing budget
+            fast_path = build_tree(pairs, dist, 2 ** -6, seed=5, scheme=scheme, custom=custom)
+            slow = plan_tree_map(dist, 2 ** -6, seed=5, scheme=scheme, counts=counts, custom=custom)
         for key, label in pairs:
-            slow.store(key, SKEW.index_of(label))
+            slow.store(key, dist.index_of(label))
         slow.freeze()
         assert slow.m == fast_path.m
         assert slow.bits.to_bytes() == fast_path.bits.to_bytes()
@@ -594,8 +620,8 @@ def test_query_many_needs_a_frozen_map():
 
 
 def test_query_many_reads_the_bits_the_map_holds_now(tmp_path):
-    # a shallow copy given damaged bits must answer from them, even after
-    # the original has built and cached its walk tables
+    # a shallow copy given damaged bits must answer from them, though it
+    # shares the original's plan
     pairs = generate_pmap(PMapSpec(SKEW, 2000, seed=8))
     bmap = build_tree(pairs, SKEW, 2 ** -7, seed=9, scheme="standard")
     keys = [key for key, _ in pairs[:300]] + [f"absent-{t}".encode() for t in range(300)]
@@ -614,7 +640,6 @@ def test_query_many_reads_the_bits_the_map_holds_now(tmp_path):
     path = tmp_path / "m.bmap"
     save(bmap, path)
     loaded = load(path)
-    assert loaded._walk is None  # built on the first query_many, not by load
     again_found, again_probes = loaded.query_many(keys)
     assert (again_found == found).all() and (again_probes == probes).all()
 
@@ -625,10 +650,22 @@ def test_walk_tables_hold_one_row_per_segment(variant):
     d = new_distribution(weights, [f"v{i}" for i in range(40)])
     pairs = [(f"k{t}".encode(), d.labels[t % 40]) for t in range(400)]
     bmap = build_variant(pairs, d, 2 ** -5, 3, variant)
-    assert bmap._walk is None
-    bmap.query_many([b"k0"])
-    rows = len(bmap._walk[0])
+    rows = len(bmap._plan)
     assert rows == (d.b if variant == "simple" else len(bmap.tree.nodes)) <= 2 * d.b - 1
+    assert all(len(column) == rows for column in bmap._columns)
+    # climbing from value i's leaf row lists its whole path, leaf first
+    for i, row in enumerate(bmap._leaves):
+        segments = []
+        while row >= 0:
+            first, last, offset, low, _, _, row = bmap._plan[row]
+            assert low <= i
+            segments.append((first, last, offset))
+        if variant == "simple":
+            start = sum(bmap.simple_ks[:i])
+            assert segments == [(start + 1, start + bmap.simple_ks[i], 0)]
+        else:
+            nodes = [bmap.tree.nodes[w] for w in reversed(bmap.tree.path_ids(i))]
+            assert segments == [(n.base_start + 1, n.base_start + n.k, n.offset) for n in nodes]
 
 
 def test_call_counts_equal_reported_counts(monkeypatch):

@@ -8,6 +8,8 @@ field-specific validation underneath.
 import io
 import struct
 import time
+import tracemalloc
+import warnings
 import zlib
 
 import pytest
@@ -174,6 +176,59 @@ def test_plan_fingerprint_checked():
             load(io.BytesIO(evil))
 
 
+_PINNED_DISTS = {
+    "abcd": SKEW,
+    "uniform64": uniform_distribution(64),
+    "geometric40": new_distribution([0.9 ** i for i in range(40)],
+                                    [f"v{i}" for i in range(40)]),
+}
+
+# plan digests of maps saved by format version 2 as first released; a
+# planner change that moves any of them would stop those files loading
+_PINNED_PLANS = {
+    ("abcd", "simple"): 0xFBD70CDD,
+    ("abcd", "standard"): 0x5C00BFB2,
+    ("abcd", "fast"): 0xF015DE7E,
+    ("abcd", "custom"): 0x49F180D2,
+    ("uniform64", "simple"): 0x9574C7BC,
+    ("uniform64", "standard"): 0x93ECFA46,
+    ("uniform64", "fast"): 0xE95A64CB,
+    ("uniform64", "custom"): 0x55703A6D,
+    ("geometric40", "simple"): 0xD73608FB,
+    ("geometric40", "standard"): 0x0EF69B8B,
+    ("geometric40", "fast"): 0xE94E0F9B,
+    ("geometric40", "custom"): 0x36C20D58,
+}
+
+
+def _pinned_map(dist_name, variant):
+    d = _PINNED_DISTS[dist_name]
+    pairs = [(f"pin-{t}".encode(), d.labels[t % d.b]) for t in range(4 * d.b)]
+    if variant == "simple":
+        return build_simple(pairs, d, 2 ** -7, seed=11)
+    custom = None
+    if variant == "custom":
+        fast = build_tree(pairs, d, 2 ** -7, seed=11, scheme="fast")
+        custom = {n.index: n.k + (0 if n.is_leaf else 1) for n in fast.tree.nodes}
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", UserWarning)  # advisory sizing budget
+        return build_tree(pairs, d, 2 ** -7, seed=11, scheme=variant, custom=custom)
+
+
+@pytest.mark.parametrize("dist_name, variant", sorted(_PINNED_PLANS))
+def test_plan_digest_is_pinned(dist_name, variant):
+    bmap = _pinned_map(dist_name, variant)
+    data = _saved(bmap)
+    (plan,) = struct.unpack_from("<I", data, _FIXED.size - 4)
+    assert plan == _PINNED_PLANS[dist_name, variant]
+    back = load(io.BytesIO(data))
+    keys = [f"pin-{t}".encode() for t in range(4 * bmap.b)]
+    keys += [f"absent-{t}".encode() for t in range(200)]
+    assert [back.query(key) for key in keys] == [bmap.query(key) for key in keys]
+    for got, want in zip(back.query_many(keys), bmap.query_many(keys)):
+        assert (got == want).all()
+
+
 def test_custom_counts_certified_on_load():
     _, maps = _maps()
     bmap = maps["custom"]
@@ -231,6 +286,27 @@ def test_large_files_are_judged_in_planner_time():
     back = load(io.BytesIO(data))
     assert time.perf_counter() - start < 2.0
     assert back.describe() == bmap.describe()
+
+
+def test_large_b_loads_in_linear_memory():
+    # the plan holds one row per tree node, so a load stays linear in b;
+    # every value's whole path would be 3.6 million segments at this b
+    b = 10 ** 4
+    skewed = new_distribution([0.95 ** i for i in range(b)], [f"v{i}" for i in range(b)])
+    bmap = plan_tree_map(skewed, 2 ** -7, seed=1, scheme="standard", n=10 ** 5)
+    bmap.freeze()
+    data = _saved(bmap)
+    start = time.perf_counter()
+    back = load(io.BytesIO(data))
+    assert time.perf_counter() - start < 1.0
+    assert len(back._plan) == 2 * b - 1
+    tracemalloc.start()
+    try:
+        load(io.BytesIO(data))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 32e6
 
 
 def test_trailing_bytes_rejected():
