@@ -12,7 +12,6 @@ requested error budget before any key is stored.
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -32,6 +31,7 @@ __all__ = [
     "assign_hash_counts",
     "certify_error_bounds",
     "compute_geometry",
+    "size_bit_array",
     "refresh_base_starts",
     "left_branch_count",
     "tree_property_report",
@@ -426,44 +426,37 @@ def certify_error_bounds(tree: CodeTree, epsilon: float) -> CertificationReport:
 
 @dataclass(frozen=True)
 class Geometry:
-    """Bit array sizing for a tree with counts: m bits, per-value path
-    weights t, and whether m fits the coarse budget
-    2 n log2(e) log2(b / epsilon)."""
+    """Bit array sizing for a tree with counts: m bits and per-value path
+    weights t."""
 
     m: int
     t: tuple[int, ...]
-    budget_limit: float
-    budget_ok: bool
 
 
 def compute_geometry(tree: CodeTree, counts, epsilon: float) -> Geometry:
-    """Size the bit array: m = ceil(log2(e) * sum_i count_i * t_i).
+    """Size a tree map's bit array by size_bit_array.
 
-    counts are the per-value key counts; t_i is the total hash count on
-    value i's root-to-leaf path, which ends at its leaf's last base index
-    since the slices run consecutively down every path.  The budget check
-    is advisory only; a violation warns and building proceeds.
+    t_i is the total hash count on value i's root-to-leaf path, which ends
+    at its leaf's last base index since the slices run consecutively down
+    every path.
     """
     _check_epsilon(epsilon)
-    if len(counts) != tree.b:
-        raise ValueError(f"{len(counts)} counts for {tree.b} leaves")
-    if any(c < 0 for c in counts):
-        raise ValueError("negative key count")
-    n = sum(counts)
-    if n == 0:
-        raise ValueError("refusing to size an empty map (all counts zero)")
     refresh_base_starts(tree)
     t = tuple(tree.nodes[w].base_start + tree.nodes[w].k for w in tree.leaves)
-    m = math.ceil(LOG2E * sum(c * ti for c, ti in zip(counts, t)))
-    limit = 2.0 * n * LOG2E * math.log2(tree.b / epsilon)
-    ok = m <= limit
-    if not ok:
-        warnings.warn(
-            f"bit array of {m} bits exceeds the sizing budget {limit:.0f}; "
-            "building anyway",
-            stacklevel=2,
-        )
-    return Geometry(m=m, t=t, budget_limit=limit, budget_ok=ok)
+    return Geometry(m=size_bit_array(counts, t), t=t)
+
+
+def size_bit_array(counts, t) -> int:
+    """m = ceil(log2(e) * sum_i count_i * t_i), the one sizing rule of both
+    layouts: count_i keys of value i each set t_i bits, and this m leaves
+    about half the array zero, as every certified bound assumes."""
+    if len(counts) != len(t):
+        raise ValueError(f"{len(counts)} counts for {len(t)} values")
+    if any(c < 0 for c in counts):
+        raise ValueError("negative key count")
+    if sum(counts) == 0:
+        raise ValueError("refusing to size an empty map (all counts zero)")
+    return math.ceil(LOG2E * sum(c * ti for c, ti in zip(counts, t)))
 
 
 # -- paths ------------------------------------------------------------

@@ -13,20 +13,24 @@ return "not present" for a stored key.  The walk has a scalar form,
 BloomMap.query, for one key, and a batch form, BloomMap.query_many, that
 moves a whole batch of keys through it one probe at a time and returns
 the same answers and probe counts.
+
+A map's bits depend only on the pairs it holds, so there is one write
+path: store() records a pair and freeze() writes every recorded pair, a
+chunk of keys at a time.  Both layouts are planned by plan_tree_map and
+sized by one rule, m = ceil(log2(e) * sum_i count_i * t_i).
 """
 
 from __future__ import annotations
 
 import math
-from collections import defaultdict
 from dataclasses import dataclass
-from itertools import accumulate
+from itertools import accumulate, islice
 
 import numpy as np
 
 from . import codetree
-from .bounds import LOG2E, _check_epsilon
-from .distribution import ValueDistribution, entropy
+from .bounds import _check_epsilon
+from .distribution import ValueDistribution, integer_counts
 from .errors import DuplicateKey, FrozenError
 from .hashing import HashFamily, pack_keys
 
@@ -41,6 +45,8 @@ __all__ = [
     "simple_analytic_bounds",
     "zero_fraction",
 ]
+
+CHUNK = 4096  # recorded pairs written per step of freeze()
 
 
 class BitArray:
@@ -79,13 +85,10 @@ class BitArray:
         if self._frozen:
             raise FrozenError("bit array is frozen")
         pos = np.asarray(positions, dtype=np.uint64)
-        if pos.size == 0:
-            return
-        scratch = np.zeros(self.m, dtype=bool)
-        scratch[pos] = True
-        packed = np.packbits(scratch, bitorder="little")
+        if pos.size and int(pos.max()) >= self.m:
+            raise IndexError(f"bit position {int(pos.max())} outside 0..{self.m - 1}")
         view = np.frombuffer(self._buf, dtype=np.uint8)
-        view |= packed
+        np.bitwise_or.at(view, pos >> 3, np.left_shift(np.uint8(1), (pos & 7).astype(np.uint8)))
 
     def freeze(self) -> None:
         self._frozen = True
@@ -159,10 +162,10 @@ class BloomMap:
     """One bit array plus the recipe for reading and writing it.
 
     variant is "simple" for the flat layout or the tree scheme name
-    ("standard", "fast", "custom").  Tree maps are created empty, filled
-    with store(), and frozen; the flat variant is built in one shot by
-    build_simple.  Frozen maps never mutate and may be queried from any
-    number of threads.
+    ("standard", "fast", "custom").  plan_tree_map creates an empty map of
+    either layout; store() records pairs and freeze() writes them all and
+    stops accepting writes.  Frozen maps never mutate and may be queried
+    from any number of threads.
 
     _plan, O(b) rows (first, last, offset, low, on_pass, on_fail, up),
     one per tree node in preorder or per flat block, is the single
@@ -174,7 +177,7 @@ class BloomMap:
     parent (-1 at the top), so value i's path climbs from its leaf row.  A
     walk that finds the row set moves to on_pass, the right child (-1 at a
     leaf, which answers low); a zero bit moves it to on_fail, where value
-    low - 1's path leaves the rows known set (-1 when low is 0).  Storing,
+    low - 1's path leaves the rows known set (-1 when low is 0).  Writing,
     both query forms, the hash family's size and the file digest read it.
     """
 
@@ -192,11 +195,11 @@ class BloomMap:
             [start + 1, start + k, 0, i, -1, i - 1, -1]
             for i, (start, k) in enumerate(zip(accumulate(simple_ks, initial=0), simple_ks))
         ]
-        self._leaves = tuple(r for r, row in enumerate(rows) if row[4] < 0)
         # every walk starts atop value b - 1's path: the root, or the last block
         self._top = 0 if tree is not None else len(rows) - 1
-        first, last, offset, low, on_pass, on_fail, _ = np.array(rows, dtype=np.int64).T.copy()
-        self._columns = (first, last, offset.astype(np.uint64), low, on_pass, on_fail)
+        first, last, offset, low, on_pass, on_fail, up = np.array(rows, dtype=np.int64).T.copy()
+        self._columns = (first, last, offset.astype(np.uint64), low, on_pass, on_fail, up)
+        self._leaves = np.flatnonzero(on_pass < 0)  # value i's leaf row, in preorder
         self.family = HashFamily(seed, bits.m, int(last.max()))
         self._pending: dict[bytes, int] | None = None if bits.frozen else {}
 
@@ -250,62 +253,65 @@ class BloomMap:
 
     # -- writing ------------------------------------------------------
 
-    def _note_pair(self, key: bytes, value_index: int) -> bool:
-        """Record the pair, returning False for an idempotent repeat."""
+    def store(self, key, value_index: int) -> None:
+        """Record one (key, value) pair; freeze() sets its bits.
+
+        Storing a pair again is a no-op; storing its key with another
+        value raises DuplicateKey.
+        """
+        key = _as_key(key)
         if self._pending is None:
             raise FrozenError("map is frozen")
         if not 0 <= value_index < self.b:
             raise ValueError(f"value index {value_index} outside 0..{self.b - 1}")
-        prior = self._pending.get(key)
-        if prior is None:
-            self._pending[key] = value_index
-            return True
+        prior = self._pending.setdefault(key, value_index)
         if prior != value_index:
-            raise DuplicateKey(
-                f"key {key!r} already stored with value index {prior}, not {value_index}"
-            )
-        return False
-
-    def store(self, key, value_index: int) -> None:
-        """Set the bits for one (key, value) pair along the value's path."""
-        if self.tree is None:
-            raise ValueError("store() applies to tree maps; use build_simple for the flat variant")
-        key = _as_key(key)
-        if not self._note_pair(key, value_index):
-            return
-        m = self.m
-        row = self._leaves[value_index]
-        while row >= 0:  # climb value_index's path from its leaf row
-            first, last, offset, _, _, _, row = self._plan[row]
-            for j in range(first, last + 1):
-                self.bits.set_bit((self.family.base_hash(j, key) + offset) % m)
-
-    def _store_batch(self, pairs_by_value: dict[int, list[bytes]]) -> None:
-        """Vectorized bulk store; bit-identical to repeated store() calls."""
-        chunks: list[np.ndarray] = []
-        m = np.uint64(self.m)
-        for value_index, keys in pairs_by_value.items():
-            by_len: dict[int, list[bytes]] = defaultdict(list)
-            for key in keys:
-                if self._note_pair(key, value_index):
-                    by_len[len(key)].append(key)
-            for bucket in by_len.values():
-                h1, h2 = self.family.digest_batch(*pack_keys(bucket))
-                row = self._leaves[value_index]
-                while row >= 0:
-                    first, last, offset, _, _, _, row = self._plan[row]
-                    for j in range(first, last + 1):
-                        pos = self.family.base_hash_batch(j, h1, h2)
-                        chunks.append((pos + np.uint64(offset)) % m if offset else pos)
-        if chunks:
-            self.bits.set_many(np.concatenate(chunks))
+            raise _conflict(key, prior, value_index)
 
     def freeze(self) -> None:
-        """Stop accepting writes; records the stored key count."""
+        """Write every recorded pair and stop accepting writes; records the
+        stored key count."""
         if self._pending is not None:
+            self._write(self._pending)
             self.n = len(self._pending)
             self._pending = None
         self.bits.freeze()
+
+    def _write(self, pending: dict[bytes, int]) -> None:
+        """Set the bits of every recorded pair, CHUNK pairs at a time.
+
+        Each key climbs its value's path from the leaf row, one probe a
+        step, as query_many walks down; a step's positions are OR-ed into
+        the array and dropped, so no more than one chunk's are ever held.
+        """
+        first, last, offset, _, _, _, up = self._columns
+        m = np.uint64(self.m)
+        keys_left, values_left = iter(pending), iter(pending.values())
+        while keys := list(islice(keys_left, CHUNK)):
+            h1, h2 = self._digest(keys)
+            row = self._leaves[np.fromiter(islice(values_left, len(keys)), np.int64, len(keys))]
+            j = first[row]
+            while row.size:
+                pos = self.family.base_hash_batch(j, h1, h2)
+                pos += offset[row]
+                pos %= m
+                self.bits.set_many(pos)
+                leave = j == last[row]
+                row = np.where(leave, up[row], row)
+                j = np.where(leave, first[row], j + 1)  # a key past the top is dropped below
+                kept = row >= 0
+                if not kept.all():
+                    row, j, h1, h2 = row[kept], j[kept], h1[kept], h2[kept]
+
+    def _digest(self, keys) -> tuple[np.ndarray, np.ndarray]:
+        """(h1, h2) of every key as two uint64 arrays, one batch per key length."""
+        lengths = np.fromiter(map(len, keys), dtype=np.int64, count=len(keys))
+        h1 = np.empty(len(keys), dtype=np.uint64)
+        h2 = np.empty(len(keys), dtype=np.uint64)
+        for length in set(lengths.tolist()):
+            idx = np.flatnonzero(lengths == length)
+            h1[idx], h2[idx] = self.family.digest_batch(*pack_keys([keys[i] for i in idx.tolist()]))
+        return h1, h2
 
     # -- reading ------------------------------------------------------
 
@@ -366,14 +372,8 @@ class BloomMap:
         probes = np.zeros(len(keys), dtype=np.int64)
         if not keys:
             return found, probes
-        first, last, offset, low, on_pass, on_fail = self._columns
-        by_len: dict[int, list[int]] = defaultdict(list)
-        for i, key in enumerate(keys):
-            by_len[len(key)].append(i)
-        h1 = np.empty(len(keys), dtype=np.uint64)
-        h2 = np.empty(len(keys), dtype=np.uint64)
-        for idx in by_len.values():
-            h1[idx], h2[idx] = self.family.digest_batch(*pack_keys([keys[i] for i in idx]))
+        first, last, offset, low, on_pass, on_fail, _ = self._columns
+        h1, h2 = self._digest(keys)
         # read whatever bit array the map holds now; keep no view of it
         bits = np.frombuffer(self.bits._buf, dtype=np.uint8)
         m = np.uint64(self.m)
@@ -427,68 +427,75 @@ def _tree_rows(tree) -> list[list[int]]:
 # -- builders ---------------------------------------------------------
 
 
-def _index_pairs(pairs, dist: ValueDistribution) -> dict[int, list[bytes]]:
-    if not pairs:
-        raise ValueError("no pairs to store")
-    grouped: dict[int, list[bytes]] = defaultdict(list)
+def _conflict(key: bytes, prior: int, value_index: int) -> DuplicateKey:
+    return DuplicateKey(f"key {key!r} already stored with value index {prior}, not {value_index}")
+
+
+def _tally(pairs, dist: ValueDistribution) -> tuple[dict[bytes, int], tuple[int, ...]]:
+    """Dedupe (key, value label) pairs into {key: value index} and count
+    each value's keys."""
+    index = {label: i for i, label in enumerate(dist.labels)}
+    pending: dict[bytes, int] = {}
     for key, label in pairs:
-        grouped[dist.index_of(label)].append(_as_key(key))
-    return grouped
+        i = index.get(label)
+        if i is None:
+            i = dist.index_of(label)  # a str label, or UnknownValue
+        if type(key) is not bytes:
+            key = _as_key(key)
+        prior = pending.setdefault(key, i)
+        if prior != i:
+            raise _conflict(key, prior, i)
+    if not pending:
+        raise ValueError("no pairs to store")
+    values = np.fromiter(pending.values(), dtype=np.int64, count=len(pending))
+    return pending, tuple(np.bincount(values, minlength=dist.b).tolist())
 
 
 def build_simple(pairs, dist: ValueDistribution, epsilon: float, seed: int) -> BloomMap:
-    """Build a flat-variant map in one shot from (key, value label) pairs.
-
-    Sizing follows m = ceil(n * log2(e) * (log2(1/eps) + H)) with H the
-    distribution entropy, which keeps roughly half the array zero.
-    """
-    _check_epsilon(epsilon)
-    grouped = _index_pairs(pairs, dist)
-    n = len({k for keys in grouped.values() for k in keys})
-    ks = simple_hash_counts(dist, epsilon)
-    m = math.ceil(n * LOG2E * (math.log2(1.0 / epsilon) + entropy(dist)))
-    bmap = BloomMap(
-        variant="simple", dist=dist, epsilon=epsilon, seed=seed,
-        bits=BitArray(m), simple_ks=ks,
-    )
-    bmap._store_batch(grouped)
-    bmap.freeze()
-    return bmap
+    """Build and freeze a flat-layout map from (key, value label) pairs,
+    sized by the actual per-value key tallies."""
+    return build_tree(pairs, dist, epsilon, seed, "simple")
 
 
 def plan_tree_map(dist: ValueDistribution, epsilon: float, seed: int,
                   scheme: str = "standard", *, n: int | None = None,
                   counts=None, custom=None) -> BloomMap:
-    """Create an empty, unfrozen tree map sized for the given key counts.
+    """Create an empty, unfrozen map sized for the given key counts.
 
-    Pass either n (apportioned across values by the distribution) or an
-    explicit per-value counts tuple.  The code tree comes from
-    codetree.plan_tree, as it does on load; the caller then store()s pairs
-    and freeze()s the map.
+    scheme is "simple" for the flat layout or a tree scheme name.  Pass
+    either n (apportioned across values by the distribution) or an
+    explicit per-value counts tuple.  The hash counts come from
+    simple_hash_counts or codetree.plan_tree, as they do on load, and
+    both layouts are sized by codetree.size_bit_array.  The caller then
+    store()s pairs and freeze()s the map.
     """
-    from .distribution import integer_counts
-
     _check_epsilon(epsilon)
     if (n is None) == (counts is None):
         raise ValueError("pass exactly one of n or counts")
     if counts is None:
         counts = integer_counts(dist, n)
-    tree = codetree.plan_tree(dist, epsilon, scheme, custom=custom)
-    geom = codetree.compute_geometry(tree, counts, epsilon)
+    tree = simple_ks = None
+    if scheme == "simple":
+        simple_ks = simple_hash_counts(dist, epsilon)
+        m = codetree.size_bit_array(counts, simple_ks)
+    else:
+        tree = codetree.plan_tree(dist, epsilon, scheme, custom=custom)
+        m = codetree.compute_geometry(tree, counts, epsilon).m
     return BloomMap(
         variant=scheme, dist=dist, epsilon=epsilon, seed=seed,
-        bits=BitArray(geom.m), tree=tree,
+        bits=BitArray(m), tree=tree, simple_ks=simple_ks,
     )
 
 
 def build_tree(pairs, dist: ValueDistribution, epsilon: float, seed: int,
                scheme: str = "standard", *, custom=None) -> BloomMap:
-    """Build and freeze a tree map from (key, value label) pairs, sized by
-    the actual per-value key tallies."""
-    grouped = _index_pairs(pairs, dist)
-    counts = tuple(len(set(grouped.get(i, ()))) for i in range(dist.b))
+    """Build and freeze a map from (key, value label) pairs: tally them,
+    plan the map with plan_tree_map, sized by the tallies, and write them
+    all at freeze.  scheme is a tree scheme, or "simple" for the flat
+    layout (build_simple)."""
+    pending, counts = _tally(pairs, dist)
     bmap = plan_tree_map(dist, epsilon, seed, scheme, counts=counts, custom=custom)
-    bmap._store_batch(grouped)
+    bmap._pending = pending
     bmap.freeze()
     return bmap
 

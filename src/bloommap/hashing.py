@@ -69,15 +69,12 @@ def pack_keys(keys) -> tuple[np.ndarray, int]:
     scalar hash reads.  Returns the matrix and the common key length.
     """
     length = len(keys[0])
+    if set(map(len, keys)) != {length}:
+        raise ValueError("pack_keys needs equal-length keys")
     stride = max((length + 7) // 8, 1)
-    buf = bytearray(len(keys) * stride * 8)
-    for i, key in enumerate(keys):
-        if len(key) != length:
-            raise ValueError("pack_keys needs equal-length keys")
-        start = i * stride * 8
-        buf[start : start + length] = key
-    words = np.frombuffer(bytes(buf), dtype="<u8").reshape(len(keys), stride)
-    return words, length
+    buf = np.zeros((len(keys), stride * 8), dtype=np.uint8)
+    buf[:, :length] = np.frombuffer(b"".join(keys), dtype=np.uint8).reshape(len(keys), length)
+    return buf.view("<u8"), length
 
 
 def hash_words(seed: int, words: np.ndarray, length: int) -> np.ndarray:

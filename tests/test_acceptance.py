@@ -10,7 +10,6 @@ import itertools
 import math
 import random
 import time
-import warnings
 
 import pytest
 
@@ -356,12 +355,7 @@ def test_criterion_10_traversal_matches_brute_force(capsys):
         pairs = [
             (f"i{instance}-k{t}".encode(), rnd.choice(d.labels)) for t in range(n)
         ]
-        with warnings.catch_warnings():
-            # over-provisioned custom counts on tiny maps trip the
-            # advisory sizing budget; irrelevant to answer equivalence
-            warnings.simplefilter("ignore", UserWarning)
-            bmap = build_tree(pairs, d, eps, seed=instance, scheme=scheme,
-                              custom=custom)
+        bmap = build_tree(pairs, d, eps, seed=instance, scheme=scheme, custom=custom)
 
         def fully_set(key, i):
             fam = bmap.family

@@ -372,7 +372,6 @@ def test_geometry_two_values_fast():
     geom = compute_geometry(tree, (50, 50), 2 ** -7)
     assert geom.t == (11, 11)
     assert geom.m == 1587
-    assert geom.budget_ok
 
 
 def test_geometry_rejects_empty_and_bad_counts():
@@ -383,20 +382,6 @@ def test_geometry_rejects_empty_and_bad_counts():
         compute_geometry(tree, (5,), 2 ** -5)
     with pytest.raises(ValueError):
         compute_geometry(tree, (5, -1), 2 ** -5)
-
-
-def test_geometry_budget_warning():
-    # a single value with a loose error budget: the sizing formula
-    # overshoots the coarse cap, which warns but still returns a geometry
-    eps = 0.3
-    tree = build_alphabetic_tree(new_distribution([1], "a"))
-    assign_offsets(tree)
-    assign_hash_counts(tree, eps, "fast")
-    with pytest.warns(UserWarning):
-        geom = compute_geometry(tree, (100,), eps)
-    assert not geom.budget_ok
-    assert geom.m == 578
-    assert geom.m > geom.budget_limit
 
 
 # -- paths and structural checks --------------------------------------

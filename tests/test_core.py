@@ -11,7 +11,6 @@ import dataclasses
 import itertools
 import math
 import random
-import warnings
 
 import numpy as np
 import pytest
@@ -27,6 +26,7 @@ from bloommap import (
     UnknownValue,
     build_simple,
     build_tree,
+    integer_counts,
     load,
     new_distribution,
     plan_tree_map,
@@ -40,7 +40,7 @@ from bloommap.codetree import (
     assign_offsets,
     build_alphabetic_tree,
 )
-from bloommap.core import BitArray, simple_analytic_bounds, simple_hash_counts
+from bloommap.core import CHUNK, BitArray, simple_analytic_bounds, simple_hash_counts
 from bloommap.harness import PMapSpec, build_variant, generate_pmap
 from bloommap.hashing import HashFamily
 
@@ -179,6 +179,25 @@ def test_simple_bits_match_direct_hashing():
     assert ref.to_bytes() == bmap.bits.to_bytes()
 
 
+def test_flat_sizing_follows_the_tallies():
+    # m = ceil(log2(e) * sum_i c_i k_i) from the real tallies keeps half the
+    # array zero where the ceilings of k_i add up (1/i over 100 values) and
+    # where the tallies differ from the stated distribution (.9/.1 stated,
+    # keys split .5/.5)
+    n = 20_000
+    harmonic = new_distribution([1 / i for i in range(1, 101)], [f"v{i}" for i in range(100)])
+    labels = [label for label, c in zip(harmonic.labels, integer_counts(harmonic, n))
+              for _ in range(c)]
+    stated = new_distribution([0.9, 0.1], "ab")
+    for dist, labels in ((harmonic, labels), (stated, [b"a", b"b"] * (n // 2))):
+        pairs = [(f"key-{t}".encode(), label) for t, label in enumerate(labels)]
+        bmap = build_simple(pairs, dist, 2 ** -7, seed=3)
+        ks = simple_hash_counts(dist, 2 ** -7)
+        tallies = [labels.count(label) for label in dist.labels]
+        assert bmap.m == math.ceil(LOG2E * sum(c * k for c, k in zip(tallies, ks)))
+        assert abs(zero_fraction(bmap) - 0.5) <= 0.01
+
+
 def test_zero_fraction_near_half():
     pairs = generate_pmap(PMapSpec(SKEW, 40, seed=11))
     bmap = build_simple(pairs, SKEW, 2 ** -7, seed=1)
@@ -227,8 +246,13 @@ def test_builder_input_validation():
         build_tree([(b"k", b"a"), (b"k", b"b")], SKEW, 2 ** -5, seed=0)
     d = new_distribution([1, 1], "xy")
     bmap = build_simple([(b"k", b"x")], d, 2 ** -5, seed=0)
-    with pytest.raises(ValueError):
-        bmap.store(b"z", 0)  # flat maps are built in one shot
+    planned = plan_tree_map(d, 2 ** -5, seed=0, scheme="simple", counts=(1, 0))
+    planned.store(b"k", 0)
+    planned.freeze()
+    assert planned.m == bmap.m and planned.bits.to_bytes() == bmap.bits.to_bytes()
+    for frozen in (bmap, planned):
+        with pytest.raises(FrozenError):
+            frozen.store(b"z", 0)
     with pytest.raises(TypeError):
         bmap.query(123)
 
@@ -322,22 +346,49 @@ def test_builds_are_deterministic_and_seed_sensitive():
     assert a.bits.to_bytes() != c.bits.to_bytes()
 
 
+def _reference_bits(bmap, pairs) -> bytes:
+    """An independent writer: hash every (key, value index) pair by hand,
+    segment by segment along the value's path, and set each bit alone."""
+    ref = BitArray(bmap.m)
+    starts = [0]
+    for k in bmap.simple_ks or ():
+        starts.append(starts[-1] + k)
+    for key, i in pairs:
+        if bmap.tree is None:
+            segments = [(starts[i], bmap.simple_ks[i], 0)]
+        else:
+            nodes = [bmap.tree.nodes[w] for w in bmap.tree.path_ids(i)]
+            segments = [(node.base_start, node.k, node.offset) for node in nodes]
+        for base_start, k, offset in segments:
+            for j in range(1, k + 1):
+                ref.set_bit((bmap.family.base_hash(base_start + j, key) + offset) % bmap.m)
+    return ref.to_bytes()
+
+
 def test_batch_store_matches_scalar_store():
-    # 40 values reach depth 9, so each store climbs a long path
+    # both builders and plan + store + freeze against the independent
+    # writer; the pairs span two chunks with keys of 8-40 bytes, and 40
+    # values reach depth 9, so each key climbs a long path
     deep = new_distribution([0.9 ** i for i in range(40)], [f"v{i}" for i in range(40)])
-    for dist, scheme in itertools.product((SKEW, deep), ("standard", "fast", "custom")):
-        pairs = generate_pmap(PMapSpec(dist, 300, seed=8))
-        counts = tuple(sum(1 for _, lab in pairs if lab == l) for l in dist.labels)
-        custom = _custom_counts(dist, 2 ** -6, random.Random(8)) if scheme == "custom" else None
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", UserWarning)  # advisory sizing budget
-            fast_path = build_tree(pairs, dist, 2 ** -6, seed=5, scheme=scheme, custom=custom)
-            slow = plan_tree_map(dist, 2 ** -6, seed=5, scheme=scheme, counts=counts, custom=custom)
+    rnd = random.Random(8)
+    keys = list(dict.fromkeys(rnd.randbytes(rnd.randint(8, 40)) for _ in range(CHUNK + 900)))
+    assert len(keys) > CHUNK
+    for dist, variant in itertools.product((SKEW, deep), ("simple", "standard", "fast", "custom")):
+        labels = rnd.choices(dist.labels, weights=dist.probs, k=len(keys))
+        pairs = list(zip(keys, labels))
+        custom = _custom_counts(dist, 2 ** -6, random.Random(8)) if variant == "custom" else None
+        if variant == "simple":
+            built = build_simple(pairs, dist, 2 ** -6, seed=5)
+        else:
+            built = build_tree(pairs, dist, 2 ** -6, seed=5, scheme=variant, custom=custom)
+        counts = tuple(labels.count(label) for label in dist.labels)
+        stored = plan_tree_map(dist, 2 ** -6, seed=5, scheme=variant, counts=counts, custom=custom)
         for key, label in pairs:
-            slow.store(key, dist.index_of(label))
-        slow.freeze()
-        assert slow.m == fast_path.m
-        assert slow.bits.to_bytes() == fast_path.bits.to_bytes()
+            stored.store(key, dist.index_of(label))
+        stored.freeze()
+        want = _reference_bits(built, [(key, dist.index_of(label)) for key, label in pairs])
+        assert stored.m == built.m
+        assert built.bits.to_bytes() == stored.bits.to_bytes() == want
 
 
 # -- query semantics --------------------------------------------------
@@ -535,9 +586,7 @@ def test_tree_query_matches_right_first_walk(scheme, weights, eps_bits, seed, fi
     eps = 2.0 ** -eps_bits
     custom = _custom_counts(d, eps, rnd) if scheme == "custom" else None
     n = rnd.randint(1, 3 * b)
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", UserWarning)  # advisory sizing budget
-        bmap = plan_tree_map(d, eps, seed, scheme, n=n, custom=custom)
+    bmap = plan_tree_map(d, eps, seed, scheme, n=n, custom=custom)
     stored = [f"k{t}".encode() for t in range(n)]
     for key in stored:
         bmap.store(key, rnd.randrange(b))
@@ -580,13 +629,11 @@ def test_query_many_matches_query(variant, weights, eps_bits, seed, fill):
     d = new_distribution(weights, [f"v{i}" for i in range(b)])
     eps = 2.0 ** -eps_bits
     pairs = [(f"k{t}".encode(), d.labels[rnd.randrange(b)]) for t in range(rnd.randint(1, 3 * b))]
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", UserWarning)  # advisory sizing budget
-        if variant == "simple":
-            bmap = build_simple(pairs, d, eps, seed)
-        else:
-            custom = _custom_counts(d, eps, rnd) if variant == "custom" else None
-            bmap = build_tree(pairs, d, eps, seed, variant, custom=custom)
+    if variant == "simple":
+        bmap = build_simple(pairs, d, eps, seed)
+    else:
+        custom = _custom_counts(d, eps, rnd) if variant == "custom" else None
+        bmap = build_tree(pairs, d, eps, seed, variant, custom=custom)
     _with_noise(bmap, fill, seed)
     keys = [key for key, _ in pairs] + [f"absent-{t}".encode() for t in range(20)]
     _assert_batch_matches_scalar(bmap, keys)

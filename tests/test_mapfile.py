@@ -9,7 +9,6 @@ import io
 import struct
 import time
 import tracemalloc
-import warnings
 import zlib
 
 import pytest
@@ -210,9 +209,7 @@ def _pinned_map(dist_name, variant):
     if variant == "custom":
         fast = build_tree(pairs, d, 2 ** -7, seed=11, scheme="fast")
         custom = {n.index: n.k + (0 if n.is_leaf else 1) for n in fast.tree.nodes}
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", UserWarning)  # advisory sizing budget
-        return build_tree(pairs, d, 2 ** -7, seed=11, scheme=variant, custom=custom)
+    return build_tree(pairs, d, 2 ** -7, seed=11, scheme=variant, custom=custom)
 
 
 @pytest.mark.parametrize("dist_name, variant", sorted(_PINNED_PLANS))
