@@ -14,10 +14,14 @@ BloomMap.query, for one key, and a batch form, BloomMap.query_many, that
 moves a whole batch of keys through it one probe at a time and returns
 the same answers and probe counts.
 
-A map's bits depend only on the pairs it holds, so there is one write
-path: store() records a pair and freeze() writes every recorded pair, a
-chunk of keys at a time.  Both layouts are planned by plan_tree_map and
-sized by one rule, m = ceil(log2(e) * sum_i count_i * t_i).
+A map's bits depend only on the pairs it holds, so one writer sets them,
+fed (h1, h2, value index) arrays a chunk of keys at a time.  store()
+records pairs in a dict and freeze() digests them a chunk at a time; the
+batch builders hold no per-key dict: they read the pairs CHUNK at a time,
+digest each chunk once, one pass per 8-byte word count, and dedupe by
+sorting the 64-bit h1 digests, comparing key bytes only where digests
+are equal.  Both layouts are planned by plan_tree_map and sized by one
+rule, m = ceil(log2(e) * sum_i count_i * t_i).
 """
 
 from __future__ import annotations
@@ -32,7 +36,7 @@ from . import codetree
 from .bounds import _check_epsilon
 from .distribution import ValueDistribution, integer_counts
 from .errors import DuplicateKey, FrozenError
-from .hashing import HashFamily, pack_keys
+from .hashing import HashFamily, step_of
 
 __all__ = [
     "BitArray",
@@ -46,7 +50,7 @@ __all__ = [
     "zero_fraction",
 ]
 
-CHUNK = 4096  # recorded pairs written per step of freeze()
+CHUNK = 4096  # pairs read, digested and written per step of a build
 
 
 class BitArray:
@@ -81,14 +85,24 @@ class BitArray:
         self._buf[i >> 3] |= 1 << (i & 7)
 
     def set_many(self, positions) -> None:
-        """Set a batch of positions (any iterable or uint64 array)."""
+        """Set a batch of positions (any iterable or uint64 array).
+
+        A fancy-index OR keeps only one of the writes to a byte that
+        several positions share, so the positions whose bit did not land
+        are OR-ed again until none is left; each round lands at least one
+        per byte.  It costs about half what np.bitwise_or.at does.
+        """
         if self._frozen:
             raise FrozenError("bit array is frozen")
         pos = np.asarray(positions, dtype=np.uint64)
         if pos.size and int(pos.max()) >= self.m:
             raise IndexError(f"bit position {int(pos.max())} outside 0..{self.m - 1}")
         view = np.frombuffer(self._buf, dtype=np.uint8)
-        np.bitwise_or.at(view, pos >> 3, np.left_shift(np.uint8(1), (pos & 7).astype(np.uint8)))
+        byte, bit = pos >> 3, np.left_shift(np.uint8(1), (pos & 7).astype(np.uint8))
+        while byte.size:
+            view[byte] |= bit
+            lost = (view[byte] & bit) == 0
+            byte, bit = byte[lost], bit[lost]
 
     def freeze(self) -> None:
         self._frozen = True
@@ -156,6 +170,13 @@ def _as_key(key) -> bytes:
     if isinstance(key, str):
         return key.encode("utf-8")
     raise TypeError(f"key must be bytes or str, got {type(key).__name__}")
+
+
+def _as_keys(keys):
+    """A sequence of keys as bytes: itself when every key already is."""
+    if set(map(type, keys)) <= {bytes}:
+        return keys
+    return [_as_key(key) for key in keys]
 
 
 class BloomMap:
@@ -272,13 +293,17 @@ class BloomMap:
         """Write every recorded pair and stop accepting writes; records the
         stored key count."""
         if self._pending is not None:
-            self._write(self._pending)
+            keys, values = iter(self._pending), iter(self._pending.values())
+            while part := list(islice(keys, CHUNK)):
+                self._write(*self.family.digest_batch(part),
+                            np.fromiter(islice(values, len(part)), np.int64, len(part)))
             self.n = len(self._pending)
             self._pending = None
         self.bits.freeze()
 
-    def _write(self, pending: dict[bytes, int]) -> None:
-        """Set the bits of every recorded pair, CHUNK pairs at a time.
+    def _write(self, h1: np.ndarray, h2: np.ndarray, values: np.ndarray) -> None:
+        """Set the bits of one chunk of keys, given their digests and value
+        indices.
 
         Each key climbs its value's path from the leaf row, one probe a
         step, as query_many walks down; a step's positions are OR-ed into
@@ -286,32 +311,19 @@ class BloomMap:
         """
         first, last, offset, _, _, _, up = self._columns
         m = np.uint64(self.m)
-        keys_left, values_left = iter(pending), iter(pending.values())
-        while keys := list(islice(keys_left, CHUNK)):
-            h1, h2 = self._digest(keys)
-            row = self._leaves[np.fromiter(islice(values_left, len(keys)), np.int64, len(keys))]
-            j = first[row]
-            while row.size:
-                pos = self.family.base_hash_batch(j, h1, h2)
-                pos += offset[row]
-                pos %= m
-                self.bits.set_many(pos)
-                leave = j == last[row]
-                row = np.where(leave, up[row], row)
-                j = np.where(leave, first[row], j + 1)  # a key past the top is dropped below
-                kept = row >= 0
-                if not kept.all():
-                    row, j, h1, h2 = row[kept], j[kept], h1[kept], h2[kept]
-
-    def _digest(self, keys) -> tuple[np.ndarray, np.ndarray]:
-        """(h1, h2) of every key as two uint64 arrays, one batch per key length."""
-        lengths = np.fromiter(map(len, keys), dtype=np.int64, count=len(keys))
-        h1 = np.empty(len(keys), dtype=np.uint64)
-        h2 = np.empty(len(keys), dtype=np.uint64)
-        for length in set(lengths.tolist()):
-            idx = np.flatnonzero(lengths == length)
-            h1[idx], h2[idx] = self.family.digest_batch(*pack_keys([keys[i] for i in idx.tolist()]))
-        return h1, h2
+        row = self._leaves[values]
+        j = first[row]
+        while row.size:
+            pos = self.family.base_hash_batch(j, h1, h2)
+            pos += offset[row]
+            pos %= m
+            self.bits.set_many(pos)
+            leave = j == last[row]
+            row = np.where(leave, up[row], row)
+            j = np.where(leave, first[row], j + 1)  # a key past the top is dropped below
+            kept = row >= 0
+            if not kept.all():
+                row, j, h1, h2 = row[kept], j[kept], h1[kept], h2[kept]
 
     # -- reading ------------------------------------------------------
 
@@ -367,13 +379,13 @@ class BloomMap:
         """
         if not self.bits.frozen:
             raise ValueError("freeze the map before querying")
-        keys = [_as_key(key) for key in keys]
+        keys = _as_keys(list(keys))
         found = np.full(len(keys), -1, dtype=np.int64)
         probes = np.zeros(len(keys), dtype=np.int64)
         if not keys:
             return found, probes
         first, last, offset, low, on_pass, on_fail, _ = self._columns
-        h1, h2 = self._digest(keys)
+        h1, h2 = self.family.digest_batch(keys)
         # read whatever bit array the map holds now; keep no view of it
         bits = np.frombuffer(self.bits._buf, dtype=np.uint8)
         m = np.uint64(self.m)
@@ -431,24 +443,61 @@ def _conflict(key: bytes, prior: int, value_index: int) -> DuplicateKey:
     return DuplicateKey(f"key {key!r} already stored with value index {prior}, not {value_index}")
 
 
-def _tally(pairs, dist: ValueDistribution) -> tuple[dict[bytes, int], tuple[int, ...]]:
-    """Dedupe (key, value label) pairs into {key: value index} and count
-    each value's keys."""
-    index = {label: i for i, label in enumerate(dist.labels)}
-    pending: dict[bytes, int] = {}
-    for key, label in pairs:
-        i = index.get(label)
-        if i is None:
-            i = dist.index_of(label)  # a str label, or UnknownValue
-        if type(key) is not bytes:
-            key = _as_key(key)
-        prior = pending.setdefault(key, i)
-        if prior != i:
-            raise _conflict(key, prior, i)
-    if not pending:
+def _tally(pairs, dist: ValueDistribution, seed: int):
+    """Read (key, value label) pairs CHUNK at a time and return the h1
+    digest and value index of each distinct pair, as two arrays, with
+    each value's count of keys.
+
+    Repeats are found by sorting the digests, and key bytes are compared
+    only among keys whose h1 another key shares: a repeated pair is
+    dropped, a key repeated with another value raises DuplicateKey, and
+    distinct keys with equal digests are both kept.
+    """
+    digest = HashFamily(seed, 1, 0).digest_batch  # a digest reads only the seed
+    pairs = iter(pairs)
+    keys: list[bytes] = []
+    h1s, indices = [], []
+    while chunk := list(islice(pairs, CHUNK)):
+        chunk_keys = _as_keys([key for key, _ in chunk])
+        indices.append(dist.indices_of([label for _, label in chunk]))
+        h1s.append(digest(chunk_keys)[0])
+        keys += chunk_keys
+    if not keys:
         raise ValueError("no pairs to store")
-    values = np.fromiter(pending.values(), dtype=np.int64, count=len(pending))
-    return pending, tuple(np.bincount(values, minlength=dist.b).tolist())
+    # join the chunks one array at a time, each chunk list freed at once
+    h1 = np.concatenate(h1s)
+    del h1s
+    values = np.concatenate(indices)
+    del indices
+    repeats = _repeats(keys, h1, values)
+    if repeats:
+        kept = np.ones(len(keys), dtype=bool)
+        kept[repeats] = False
+        h1, values = h1[kept], values[kept]
+    return h1, values, tuple(np.bincount(values, minlength=dist.b).tolist())
+
+
+def _repeats(keys, h1: np.ndarray, values: np.ndarray) -> list[int]:
+    """Positions of the pairs that repeat an earlier pair; raises
+    DuplicateKey, in input order, at a key repeated with another value."""
+    ordered = np.sort(h1)
+    shared = ordered[1:][ordered[1:] == ordered[:-1]]
+    if not shared.size:
+        return []
+    at = np.searchsorted(shared, h1)
+    np.minimum(at, shared.size - 1, out=at)  # a digest above all shared ones
+    seen: dict[bytes, int] = {}
+    repeats = []
+    for pos in np.flatnonzero(shared[at] == h1).tolist():
+        key, i = keys[pos], int(values[pos])
+        prior = seen.get(key)
+        if prior is None:
+            seen[key] = i
+        elif prior != i:
+            raise _conflict(key, prior, i)
+        else:
+            repeats.append(pos)
+    return repeats
 
 
 def build_simple(pairs, dist: ValueDistribution, epsilon: float, seed: int) -> BloomMap:
@@ -489,13 +538,17 @@ def plan_tree_map(dist: ValueDistribution, epsilon: float, seed: int,
 
 def build_tree(pairs, dist: ValueDistribution, epsilon: float, seed: int,
                scheme: str = "standard", *, custom=None) -> BloomMap:
-    """Build and freeze a map from (key, value label) pairs: tally them,
-    plan the map with plan_tree_map, sized by the tallies, and write them
-    all at freeze.  scheme is a tree scheme, or "simple" for the flat
-    layout (build_simple)."""
-    pending, counts = _tally(pairs, dist)
+    """Build and freeze a map from (key, value label) pairs: tally and
+    dedupe them, plan the map with plan_tree_map, sized by the tallies,
+    and write them a chunk at a time.  scheme is a tree scheme, or
+    "simple" for the flat layout (build_simple)."""
+    h1, values, counts = _tally(pairs, dist, seed)
     bmap = plan_tree_map(dist, epsilon, seed, scheme, counts=counts, custom=custom)
-    bmap._pending = pending
+    bmap._pending = None  # the pairs are written here, not recorded
+    for lo in range(0, len(h1), CHUNK):
+        part = h1[lo : lo + CHUNK]
+        bmap._write(part, step_of(part), values[lo : lo + CHUNK])
+    bmap.n = len(h1)
     bmap.freeze()
     return bmap
 

@@ -12,8 +12,12 @@ import io
 import math
 import sys
 from dataclasses import dataclass
+from functools import cached_property
+from itertools import repeat
 from pathlib import Path
 from typing import Iterable, Sequence
+
+import numpy as np
 
 from .errors import InvalidDistribution, UnknownValue
 
@@ -77,10 +81,27 @@ class ValueDistribution:
     def index_of(self, label) -> int:
         """Map a value label to its index in sorted order."""
         want = _as_label(label)
-        try:
-            return self.labels.index(want)
-        except ValueError:
-            raise UnknownValue(f"unknown value label {want!r}") from None
+        i = self._index.get(want)
+        if i is None:
+            raise UnknownValue(f"unknown value label {want!r}")
+        return i
+
+    def indices_of(self, labels) -> np.ndarray:
+        """index_of over a sequence of labels, as an int64 array.
+
+        Byte labels resolve through one dict lookup each; only the rest
+        (str labels, and labels outside the distribution, which raise
+        UnknownValue) go through index_of.
+        """
+        out = np.fromiter(map(self._index.get, labels, repeat(-1)), dtype=np.int64,
+                          count=len(labels))
+        for pos in np.flatnonzero(out < 0).tolist():
+            out[pos] = self.index_of(labels[pos])
+        return out
+
+    @cached_property
+    def _index(self) -> dict[bytes, int]:
+        return {label: i for i, label in enumerate(self.labels)}
 
 
 def new_distribution(weights: Sequence[float], labels: Sequence) -> ValueDistribution:

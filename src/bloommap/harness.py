@@ -133,16 +133,8 @@ def measure(bmap: BloomMap, pairs, neg_samples: int, seed: int) -> ErrorReport:
     if neg_samples < 1000:
         raise ValueError(f"need at least 1000 negative samples, got {neg_samples}")
     b = bmap.b
-    label_index = {label: i for i, label in enumerate(bmap.dist.labels)}
-    keys, truth = [], []
-    for key, label in pairs:
-        try:
-            i = label_index[label]
-        except KeyError:  # a str label, or one outside the distribution
-            i = bmap.dist.index_of(label)
-        keys.append(key)
-        truth.append(i)
-    truth = np.array(truth, dtype=np.int64)
+    keys = [key for key, _ in pairs]
+    truth = bmap.dist.indices_of([label for _, label in pairs])
     found, probes = bmap.query_many(keys)
     counts = np.bincount(truth, minlength=b).tolist()
     wrong = np.bincount(truth[(found >= 0) & (found != truth)], minlength=b).tolist()

@@ -9,15 +9,16 @@ and Mitzenmacher ("Less Hashing, Same Performance", ESA 2006) show that
 these g_j keep the false positive rate of k independent functions, so a
 map probing t positions per key pays for one key hash, not t.
 
-A numpy batch path digests many equal-length keys at once and agrees bit
-for bit with the scalar path for every range size m, including m >= 2**32.
+A numpy batch path digests a list of keys of any lengths at once, one
+pass per 8-byte word count, and agrees bit for bit with the scalar path
+for every range size m, including m >= 2**32.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-__all__ = ["HashFamily", "keyed_hash64", "pack_keys"]
+__all__ = ["HashFamily", "keyed_hash64", "step_of"]
 
 MASK64 = (1 << 64) - 1
 _GOLD = 0x9E3779B97F4A7C15
@@ -52,6 +53,7 @@ _NP_MULT2 = np.uint64(_MULT2)
 _S30, _S27, _S31, _S32 = (np.uint64(s) for s in (30, 27, 31, 32))
 _LO32 = np.uint64(0xFFFFFFFF)
 _ONE = np.uint64(1)
+_NP_GOLD = np.uint64(_GOLD)
 
 
 def _fmix64_np(z):
@@ -62,32 +64,9 @@ def _fmix64_np(z):
     return z ^ (z >> _S31)
 
 
-def pack_keys(keys) -> tuple[np.ndarray, int]:
-    """Pack equal-length byte keys into a (len(keys), words) uint64 matrix.
-
-    Words are little-endian with a zero-padded tail, matching what the
-    scalar hash reads.  Returns the matrix and the common key length.
-    """
-    length = len(keys[0])
-    if set(map(len, keys)) != {length}:
-        raise ValueError("pack_keys needs equal-length keys")
-    stride = max((length + 7) // 8, 1)
-    buf = np.zeros((len(keys), stride * 8), dtype=np.uint8)
-    buf[:, :length] = np.frombuffer(b"".join(keys), dtype=np.uint8).reshape(len(keys), length)
-    return buf.view("<u8"), length
-
-
-def hash_words(seed: int, words: np.ndarray, length: int) -> np.ndarray:
-    """Batch form of keyed_hash64 over packed key words."""
-    h = np.uint64(_fmix64(seed ^ ((length * _GOLD) & MASK64)))
-    n_absorb = (length + 7) // 8 if length else 0
-    out = None
-    for col in range(n_absorb):
-        cur = h if out is None else out
-        out = _fmix64_np(cur ^ words[:, col])
-    if out is None:
-        out = np.full(words.shape[0], h, dtype=np.uint64)
-    return out
+def step_of(h1: np.ndarray) -> np.ndarray:
+    """The odd step h2 = fmix64(h1) | 1 of every digest h1."""
+    return _fmix64_np(h1) | _ONE
 
 
 def _reduce_np(h: np.ndarray, m: int) -> np.ndarray:
@@ -145,10 +124,32 @@ class HashFamily:
         # (g_j * m) >> 64, the scalar form of _reduce_np
         return ((memo[1] + j * memo[2]) & MASK64) * self.m >> 64
 
-    def digest_batch(self, words: np.ndarray, length: int) -> tuple[np.ndarray, np.ndarray]:
-        """(h1, h2) for every packed key, as two uint64 arrays."""
-        h1 = hash_words(self.master_seed, words, length)
-        return h1, _fmix64_np(h1) | _ONE
+    def digest_batch(self, keys) -> tuple[np.ndarray, np.ndarray]:
+        """(h1, h2) for every byte string in a list of keys of any lengths,
+        as two uint64 arrays.
+
+        Keys are absorbed in groups of equal 8-byte word count, each packed
+        into a zero-padded little-endian word matrix through a numpy bytes
+        array; every key's chain starts from its own length, as in
+        keyed_hash64, so one group serves keys of up to eight lengths.
+        """
+        lengths = np.fromiter(map(len, keys), dtype=np.int64, count=len(keys))
+        h1 = _fmix64_np(lengths.view(np.uint64) * _NP_GOLD ^ np.uint64(self.master_seed))
+        words = (lengths + 7) >> 3
+        sizes = np.bincount(words, minlength=1)
+        sizes[0] = 0  # an empty key absorbs no word
+        for count in np.flatnonzero(sizes).tolist():
+            if sizes[count] == len(keys):
+                rows, group = slice(None), keys
+            else:
+                rows = np.flatnonzero(words == count)
+                group = [keys[i] for i in rows.tolist()]
+            packed = np.array(group, dtype=f"S{8 * count}").view("<u8").reshape(-1, count)
+            h = h1[rows]
+            for col in range(count):
+                h = _fmix64_np(h ^ packed[:, col])
+            h1[rows] = h
+        return h1, step_of(h1)
 
     def base_hash_batch(self, j, h1: np.ndarray, h2: np.ndarray) -> np.ndarray:
         """Vectorized base_hash over digest_batch output; identical outputs.

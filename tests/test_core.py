@@ -14,7 +14,7 @@ import random
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from bloommap import (
@@ -40,7 +40,7 @@ from bloommap.codetree import (
     assign_offsets,
     build_alphabetic_tree,
 )
-from bloommap.core import CHUNK, BitArray, simple_analytic_bounds, simple_hash_counts
+from bloommap.core import CHUNK, BitArray, _tally, simple_analytic_bounds, simple_hash_counts
 from bloommap.harness import PMapSpec, build_variant, generate_pmap
 from bloommap.hashing import HashFamily
 
@@ -389,6 +389,67 @@ def test_batch_store_matches_scalar_store():
         want = _reference_bits(built, [(key, dist.index_of(label)) for key, label in pairs])
         assert stored.m == built.m
         assert built.bits.to_bytes() == stored.bits.to_bytes() == want
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    picks=st.lists(
+        st.tuples(st.integers(0, 9), st.integers(0, 3), st.booleans(), st.booleans()),
+        min_size=1, max_size=40,
+    ),
+    as_generator=st.booleans(),
+)
+@example(picks=[(1, 0, False, False), (1, 0, True, True), (2, 3, False, True)], as_generator=True)
+@example(picks=[(4, 2, True, False), (0, 1, False, False), (4, 3, False, False)], as_generator=False)
+def test_batch_dedupe_matches_a_dict_tally(picks, as_generator):
+    # keys drawn from a pool of ten repeat with the same value and with
+    # another, as bytes or as the same text in str; labels are bytes or str
+    pairs = []
+    for key_id, value, str_key, str_label in picks:
+        key = "k" * key_id + "-" + str(key_id)
+        label = SKEW.labels[value].decode()
+        pairs.append((key if str_key else key.encode(), label if str_label else label.encode()))
+    tally, conflict = {}, False
+    for key, label in pairs:
+        key = key.encode() if isinstance(key, str) else key
+        conflict |= tally.setdefault(key, SKEW.index_of(label)) != SKEW.index_of(label)
+    counts = tuple(list(tally.values()).count(i) for i in range(SKEW.b))
+    for build, scheme in ((build_simple, "simple"), (build_tree, "standard")):
+        source = iter(pairs) if as_generator else pairs
+        if conflict:
+            with pytest.raises(DuplicateKey):
+                build(source, SKEW, 2 ** -5, seed=3)
+            continue
+        bmap = build(source, SKEW, 2 ** -5, seed=3)
+        assert bmap.n == len(tally)
+        assert _tally(pairs, SKEW, 3)[2] == counts
+        assert bmap.m == plan_tree_map(SKEW, 2 ** -5, seed=3, scheme=scheme, counts=counts).m
+        assert bmap.bits.to_bytes() == _reference_bits(bmap, list(tally.items()))
+
+
+def test_keys_sharing_a_digest_are_both_kept(monkeypatch):
+    # force b to digest exactly as a: the two are still distinct keys, so
+    # neither is dropped as a repeat nor refused as a conflict
+    a, b = b"shared-digest-a", b"shared-digest-b, a longer key"
+    digest_batch = HashFamily.digest_batch
+
+    def forced(self, keys):
+        h1, h2 = digest_batch(self, keys)
+        twin = [pos for pos, key in enumerate(keys) if key == b]
+        h1[twin], h2[twin] = digest_batch(self, [a] * len(twin))
+        return h1, h2
+
+    monkeypatch.setattr(HashFamily, "digest_batch", forced)
+    others = [(f"k{t}".encode(), SKEW.labels[t % 4]) for t in range(3 * CHUNK // 2)]
+    for label in (b"a", b"c"):
+        pairs = [(a, b"a")] + others + [(b, label), (a, b"a")]
+        # b hashes as a here, so the reference writes a's bits for b's value
+        want = [(a, 0)] + [(key, SKEW.index_of(v)) for key, v in others]
+        want.append((a, SKEW.index_of(label)))
+        for build in (build_simple, build_tree):
+            bmap = build(pairs, SKEW, 2 ** -5, seed=3)
+            assert bmap.n == len(others) + 2
+            assert bmap.bits.to_bytes() == _reference_bits(bmap, want)
 
 
 # -- query semantics --------------------------------------------------

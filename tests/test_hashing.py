@@ -9,7 +9,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from bloommap.hashing import HashFamily, hash_words, keyed_hash64, pack_keys
+from bloommap.hashing import HashFamily, keyed_hash64
 from bloommap import build_alphabetic_tree, new_distribution
 from bloommap.codetree import assign_hash_counts, assign_offsets, refresh_base_starts
 
@@ -34,7 +34,7 @@ def test_range():
 
 def test_index_bounds():
     fam = HashFamily(0, 100, 2)
-    digest = fam.digest_batch(*pack_keys([b"k"]))
+    digest = fam.digest_batch([b"k"])
     for j in (0, 3):
         with pytest.raises(IndexError):
             fam.base_hash(j, b"k")
@@ -43,7 +43,7 @@ def test_index_bounds():
         with pytest.raises(IndexError):
             fam.base_hash_batch(np.array([j]), *digest)
     assert fam.base_hash_batch(np.array([2]), *digest).tolist() == [fam.base_hash(2, b"k")]
-    empty = fam.digest_batch(np.zeros((0, 1), dtype="<u8"), 8)
+    empty = fam.digest_batch([])
     assert fam.base_hash_batch(np.array([], dtype=np.int64), *empty).shape == (0,)
 
 
@@ -72,15 +72,20 @@ def test_keyed_hash_sensitivity():
 
 
 def test_batch_matches_scalar():
+    # one batch mixes keys of 0-80 bytes, every word count from 0 to 10,
+    # with keys that differ only in trailing zero bytes
     rnd = random.Random(3)
-    for length in (0, 3, 8, 16, 23, 40):
-        keys = [rnd.randbytes(length) for _ in range(64)]
-        words, got_len = pack_keys(keys)
-        assert got_len == length
-        for seed in (0, 1, 0xDEADBEEF):
-            batch = hash_words(seed, words, length)
-            for key, h in zip(keys, batch.tolist()):
-                assert keyed_hash64(seed, key) == h
+    keys = [rnd.randbytes(rnd.randint(0, 80)) for _ in range(300)]
+    keys += [bytes(n) for n in (0, 7, 8, 9, 64)] + [b"\xff" * n for n in (0, 7, 8, 9, 64)]
+    for seed in (0, 1, 0xDEADBEEF, (1 << 64) - 1):
+        h1, h2 = HashFamily(seed, 97, 1).digest_batch(keys)
+        assert h1.tolist() == [keyed_hash64(seed, key) for key in keys]
+        assert (h2 & 1).all()
+    for length in (0, 7, 8, 9, 64):
+        same = [rnd.randbytes(length) for _ in range(16)]
+        assert HashFamily(5, 97, 1).digest_batch(same)[0].tolist() == [
+            keyed_hash64(5, key) for key in same
+        ]
 
 
 def test_batch_positions_match_scalar():
@@ -88,22 +93,21 @@ def test_batch_positions_match_scalar():
     for m in (2, 97, 1024, 1_262_359):
         fam = HashFamily(77, m, 40)
         keys = [rnd.randbytes(16) for _ in range(128)]
-        h1, h2 = fam.digest_batch(*pack_keys(keys))
+        h1, h2 = fam.digest_batch(keys)
         for j in (1, 2, 40):
             batch = fam.base_hash_batch(j, h1, h2)
             scalar = [fam.base_hash(j, k) for k in keys]
             assert batch.tolist() == scalar
 
 
-_EQUAL_LENGTH_KEYS = st.integers(0, 40).flatmap(
-    lambda n: st.lists(st.binary(min_size=n, max_size=n), min_size=1, max_size=8)
-)
+_MIXED_KEYS = st.lists(st.binary(max_size=80), min_size=1, max_size=8)
+_EDGE_KEYS = [bytes(range(n)) for n in (0, 7, 8, 9, 64)]
 
 
 @settings(max_examples=300, deadline=None)
 @given(
     m=st.integers(1, (1 << 64) - 1),
-    keys=_EQUAL_LENGTH_KEYS,
+    keys=_MIXED_KEYS,
     seed=st.integers(0, (1 << 64) - 1),
     k=st.integers(2, 2000),
     picks=st.lists(st.integers(0, (1 << 16) - 1), min_size=8, max_size=8),
@@ -111,12 +115,14 @@ _EQUAL_LENGTH_KEYS = st.integers(0, 40).flatmap(
 @example(m=(1 << 32) - 1, keys=[b"0123456789abcdef"], seed=0, k=2, picks=[1] * 8)
 @example(m=1 << 32, keys=[b"0123456789abcdef"], seed=0, k=2, picks=[1] * 8)
 @example(m=(1 << 64) - 1, keys=[b"0123456789abcdef"], seed=0, k=2, picks=[1] * 8)
+@example(m=1_262_359, keys=_EDGE_KEYS, seed=(1 << 64) - 1, k=40, picks=list(range(8)))
 def test_batch_matches_scalar_for_every_range(m, keys, seed, k, picks):
-    # the batch digest and reduction are exact for every m, including
-    # m >= 2**32, and j * h2 wraps mod 2**64 alike on both paths, whether
-    # j is one index for the batch or an array with one per key
+    # the batch digest of keys of mixed lengths and the reduction are
+    # exact for every m, including m >= 2**32, and j * h2 wraps mod 2**64
+    # alike on both paths, whether j is one index for the batch or an
+    # array with one per key
     fam = HashFamily(seed, m, k)
-    digest = fam.digest_batch(*pack_keys(keys))
+    digest = fam.digest_batch(keys)
     for j in (1, 2, k):
         scalar = [fam.base_hash(j, key) for key in keys]
         assert fam.base_hash_batch(j, *digest).tolist() == scalar
@@ -126,11 +132,6 @@ def test_batch_matches_scalar_for_every_range(m, keys, seed, k, picks):
     assert fam.base_hash_batch(np.array(js), *digest).tolist() == scalar
 
 
-def test_pack_keys_rejects_ragged_input():
-    with pytest.raises(ValueError):
-        pack_keys([b"abc", b"abcd"])
-
-
 def test_bucket_uniformity():
     # one million keys into 1024 buckets: every bucket within five standard
     # deviations of the mean (binomial sigma, about 31.2 here), for the
@@ -138,9 +139,8 @@ def test_bucket_uniformity():
     n, m = 1_000_000, 1024
     fam = HashFamily(20240817, m, 37)
     rnd = np.random.default_rng(5)
-    raw = rnd.integers(0, 256, size=(n, 16), dtype=np.uint8)
-    words = np.ascontiguousarray(raw).view("<u8").reshape(n, 2)
-    digest = fam.digest_batch(words, 16)
+    raw = rnd.integers(0, 256, size=n * 16, dtype=np.uint8).tobytes()
+    digest = fam.digest_batch([raw[i : i + 16] for i in range(0, n * 16, 16)])
     mean = n / m
     sigma = math.sqrt(n * (1 / m) * (1 - 1 / m))
     for j in (1, 2, 37):
