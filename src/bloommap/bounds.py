@@ -24,7 +24,6 @@ __all__ = [
     "lb_general",
     "lb_symmetric",
     "space_report",
-    "variant_bits_per_key",
     "standard_negative_probe_limit",
     "fast_negative_probe_limit",
     "fast_positive_probe_limit",
@@ -113,29 +112,6 @@ def lb_symmetric(eps: float, entropy_bits: float) -> float:
     )
 
 
-# -- analytic space for each variant ----------------------------------
-
-
-def variant_bits_per_key(variant: str, epsilon: float, entropy_bits: float,
-                         b: int) -> float | None:
-    """Closed-form bits per key for a variant, before integer ceilings.
-
-    Returns None for custom hash count schemes, which have no general
-    closed form.
-    """
-    budget = math.log2(1.0 / epsilon)
-    if variant == "simple":
-        return LOG2E * (budget + entropy_bits)
-    if variant == "standard":
-        if b == 1:
-            return LOG2E * budget
-        harmonic = math.fsum(1.0 / r for r in range(1, b + 1))
-        return LOG2E * (budget + entropy_bits + math.log2(harmonic - 1.0) + 1.0)
-    if variant == "fast":
-        return LOG2E * (budget + 2.0 * entropy_bits + 2.0)
-    return None
-
-
 # -- probe cost limits for the tree traversal -------------------------
 
 
@@ -189,7 +165,7 @@ class BoundReport:
     epsilon: float
     entropy_bits: float
     achieved_bpk: float
-    variant_bpk: float | None
+    variant_bpk: float
     fp_only_lower_bpk: float
     general_lower_bpk: float
     symmetric_lower_bpk: float
@@ -198,7 +174,13 @@ class BoundReport:
 
 
 def space_report(bmap) -> BoundReport:
-    """Compare a frozen map's bits per key against the analytic floors."""
+    """Compare a frozen map's bits per key against the analytic floors.
+
+    variant_bpk is log2(e) * sum_i p_i t_i over the path weights t_i of
+    the map's own plan: its bits per key, before the ceiling on m, when
+    its tallies follow the distribution exactly.
+    """
+    t = bmap.describe()["path_weights"]
     h = entropy(bmap.dist)
     eps = bmap.epsilon
     achieved = bmap.bits_per_key()
@@ -211,7 +193,7 @@ def space_report(bmap) -> BoundReport:
         epsilon=eps,
         entropy_bits=h,
         achieved_bpk=achieved,
-        variant_bpk=variant_bits_per_key(bmap.variant, eps, h, bmap.b),
+        variant_bpk=LOG2E * math.fsum(p * ti for p, ti in zip(bmap.dist.probs, t)),
         fp_only_lower_bpk=lb_false_positive_only(eps, h),
         general_lower_bpk=lb_general(eps, eps, 0.0, h),
         symmetric_lower_bpk=symmetric,

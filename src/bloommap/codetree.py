@@ -359,23 +359,60 @@ class CertificationReport:
 
 def analytic_error_bounds(tree: CodeTree) -> tuple[float, tuple[float, ...]]:
     """(false positive bound, per-value misassignment bounds) for the
-    current hash counts, from the actual path weights.
+    tree's current hash counts: plan_bounds over its rows."""
+    return plan_bounds(_tree_rows(tree))[:2]
 
-    Value j > i shadows i with 2**-(the counts on j's path below their
-    lowest common ancestor); those j fill the right subtrees off i's
-    path, so per-subtree sums make this linear in the tree's size.
+
+def plan_bounds(rows) -> tuple[float, tuple[float, ...], tuple[int, ...]]:
+    """(false positive bound, per-value misassignment bounds, path weights
+    t) of a map's plan rows (first, last, offset, low, on_pass, on_fail, up).
+
+    The bounds assume at least half the bit array stays zero.  The rows
+    are a preorder forest, one tree on the tree layout and b one-row trees
+    on the flat one: a row's left child is the next row and on_pass its
+    right child (-1 at a leaf).  Value j > i shadows i with 2**-(the
+    counts on j's path below their lowest common ancestor, or all of them
+    from a tree right of i's), so per-subtree sums make this linear.
     """
-    order = list(tree.preorder())
-    below = [0.0] * len(tree.nodes)   # sum over leaves j under w of 2**-(counts from w to j)
-    for node in reversed(order):
-        inner = 1.0 if node.is_leaf else below[node.left] + below[node.right]
-        below[node.index] = math.ldexp(inner, -node.k)
-    shadow = [0.0] * len(tree.nodes)  # terms of the values right of w's path
-    for node in order:
-        if not node.is_leaf:
-            shadow[node.left] = shadow[node.index] + below[node.right]
-            shadow[node.right] = shadow[node.index]
-    return below[tree.root], tuple(shadow[w] for w in tree.leaves)
+    below = [0.0] * len(rows)   # sum over leaves j under r of 2**-(counts from r to j)
+    shadow = [0.0] * len(rows)  # terms of the values right of r's path
+    fp = 0.0                    # below summed over the roots right of r
+    for r in reversed(range(len(rows))):
+        first, last, _, _, right, _, up = rows[r]
+        inner = 1.0 if right < 0 else below[r + 1] + below[right]
+        below[r] = math.ldexp(inner, first - last - 1)
+        if up < 0:
+            shadow[r], fp = fp, fp + below[r]
+    t = [0] * len(rows)         # counts from r's root down to r
+    for r, (first, last, _, _, right, _, up) in enumerate(rows):
+        t[r] = (t[up] if up >= 0 else 0) + last - first + 1
+        if right >= 0:
+            shadow[r + 1] = shadow[r] + below[right]
+            shadow[right] = shadow[r]
+    leaves = [r for r, row in enumerate(rows) if row[4] < 0]
+    return fp, tuple(shadow[r] for r in leaves), tuple(t[r] for r in leaves)
+
+
+def _tree_rows(tree: CodeTree) -> list[list[int]]:
+    """The plan rows of a code tree, one per node in preorder."""
+    rows: list[list[int]] = []
+    low = 0  # a node's smallest value is the next leaf in preorder
+    stack = [(tree.root, -1, -1)]  # (node, parent row, on_fail)
+    while stack:
+        idx, up, fail = stack.pop()
+        node = tree.nodes[idx]
+        if fail > up:  # only a right child fails to a row after its parent's
+            rows[up][4] = len(rows)
+        rows.append([node.base_start + 1, node.base_start + node.k, node.offset,
+                     low, -1, fail, up])
+        if node.is_leaf:
+            low += 1
+        else:
+            # a left child fails where its parent does; a right child fails
+            # to its left sibling, which directly follows the parent
+            stack.append((node.right, len(rows) - 1, len(rows)))
+            stack.append((node.left, len(rows) - 1, fail))
+    return rows
 
 
 def certify_error_bounds(tree: CodeTree, epsilon: float) -> CertificationReport:
@@ -388,11 +425,11 @@ def certify_error_bounds(tree: CodeTree, epsilon: float) -> CertificationReport:
     satisfies report.certified.
     """
     _check_epsilon(epsilon)
-    refresh_base_starts(tree)  # a leaf bump moves no slice, so t_i stays base_start + k
+    refresh_base_starts(tree)  # once: a leaf bump moves no node's slice
     leaves = [tree.nodes[w] for w in tree.leaves]
     bumped: list[int] = []
     while True:
-        fp, mis = analytic_error_bounds(tree)
+        fp, mis, t = plan_bounds(_tree_rows(tree))
         worst_gap = fp - epsilon
         worst_constraint = -1  # -1 means the false positive bound
         for i, bound in enumerate(mis):
@@ -401,7 +438,6 @@ def certify_error_bounds(tree: CodeTree, epsilon: float) -> CertificationReport:
                 worst_constraint = i
         if worst_gap <= 0.0:
             break
-        t = [leaf.base_start + leaf.k for leaf in leaves]
         if worst_constraint < 0:
             target = min(range(tree.b), key=lambda i: t[i])
         else:
@@ -434,15 +470,10 @@ class Geometry:
 
 
 def compute_geometry(tree: CodeTree, counts, epsilon: float) -> Geometry:
-    """Size a tree map's bit array by size_bit_array.
-
-    t_i is the total hash count on value i's root-to-leaf path, which ends
-    at its leaf's last base index since the slices run consecutively down
-    every path.
-    """
+    """Size a tree map's bit array by size_bit_array, with the path
+    weights t_i that plan_bounds reads off the tree's rows."""
     _check_epsilon(epsilon)
-    refresh_base_starts(tree)
-    t = tuple(tree.nodes[w].base_start + tree.nodes[w].k for w in tree.leaves)
+    t = plan_bounds(_tree_rows(tree))[2]
     return Geometry(m=size_bit_array(counts, t), t=t)
 
 

@@ -21,7 +21,8 @@ batch builders hold no per-key dict: they read the pairs CHUNK at a time,
 digest each chunk once, one pass per 8-byte word count, and dedupe by
 sorting the 64-bit h1 digests, comparing key bytes only where digests
 are equal.  Both layouts are planned by plan_tree_map and sized by one
-rule, m = ceil(log2(e) * sum_i count_i * t_i).
+rule, m = ceil(log2(e) * sum_i count_i * t_i), which both build paths
+apply to the tallies of the pairs they write.
 """
 
 from __future__ import annotations
@@ -155,13 +156,14 @@ def simple_hash_counts(dist: ValueDistribution, epsilon: float) -> tuple[int, ..
 
 
 def simple_analytic_bounds(ks) -> tuple[float, tuple[float, ...]]:
-    """(false positive bound, per-value misassignment bounds) for flat
-    hash counts, assuming at least half the array stays zero."""
-    fp = math.fsum(2.0 ** -k for k in ks)
-    mis = tuple(
-        math.fsum(2.0 ** -kj for kj in ks[i + 1 :]) for i in range(len(ks))
-    )
-    return fp, mis
+    """(false positive bound, per-value misassignment bounds) of flat hash counts."""
+    return codetree.plan_bounds(_flat_rows(ks))[:2]
+
+
+def _flat_rows(ks) -> list[list[int]]:
+    """The plan rows of the flat layout, one top-level block per value."""
+    return [[start + 1, start + k, 0, i, -1, i - 1, -1]
+            for i, (start, k) in enumerate(zip(accumulate(ks, initial=0), ks))]
 
 
 def _as_key(key) -> bytes:
@@ -212,10 +214,7 @@ class BloomMap:
         self.tree = tree
         self.simple_ks = simple_ks
         self.n = n
-        self._plan = rows = _tree_rows(tree) if tree is not None else [
-            [start + 1, start + k, 0, i, -1, i - 1, -1]
-            for i, (start, k) in enumerate(zip(accumulate(simple_ks, initial=0), simple_ks))
-        ]
+        self._plan = rows = codetree._tree_rows(tree) if tree is not None else _flat_rows(simple_ks)
         # every walk starts atop value b - 1's path: the root, or the last block
         self._top = 0 if tree is not None else len(rows) - 1
         first, last, offset, low, on_pass, on_fail, up = np.array(rows, dtype=np.int64).T.copy()
@@ -244,17 +243,16 @@ class BloomMap:
         return self.m / self.n
 
     def describe(self) -> dict:
-        """The map as one plain record: geometry, hash counts, zero
-        fraction and certified error bounds.  bits_per_key is None while
-        no key is stored."""
+        """The map as one plain record: geometry, hash counts, each value's
+        path weight, zero fraction and certified error bounds.
+        bits_per_key is None while no key is stored."""
+        fp, mis, t = codetree.plan_bounds(self._plan)
         if self.tree is not None:
-            fp, mis = codetree.analytic_error_bounds(self.tree)
             counts = {
                 "leaf_depths": self.tree.leaf_depths(),
                 "leaf_hash_counts": tuple(self.tree.nodes[i].k for i in self.tree.leaves),
             }
         else:
-            fp, mis = simple_analytic_bounds(self.simple_ks)
             counts = {"hash_counts": self.simple_ks}
         return {
             "variant": self.variant,
@@ -268,6 +266,7 @@ class BloomMap:
             "bits_per_key": self.bits_per_key() if self.n else None,
             "values": self.dist.labels,
             **counts,
+            "path_weights": t,
             "false_positive_bound": fp,
             "max_misassignment_bound": max(mis, default=0.0),
         }
@@ -291,14 +290,25 @@ class BloomMap:
 
     def freeze(self) -> None:
         """Write every recorded pair and stop accepting writes; records the
-        stored key count."""
-        if self._pending is not None:
-            keys, values = iter(self._pending), iter(self._pending.values())
+        stored key count.  A map with pairs recorded is sized again by
+        codetree.size_bit_array from their tallies, as the batch builders
+        size theirs; one with none keeps the m it was planned with."""
+        pending = self._pending
+        if pending:
+            tallies = np.zeros(self.b, dtype=np.int64)
+            values = iter(pending.values())
+            for _ in range(0, len(pending), CHUNK):
+                tallies += np.bincount(np.fromiter(islice(values, CHUNK), np.int64), minlength=self.b)
+            m = codetree.size_bit_array(tallies.tolist(), codetree.plan_bounds(self._plan)[2])
+            if m != self.m:
+                self.bits = BitArray(m)
+                self.family = HashFamily(self.family.master_seed, m, self.family.k)
+            keys, values = iter(pending), iter(pending.values())
             while part := list(islice(keys, CHUNK)):
                 self._write(*self.family.digest_batch(part),
                             np.fromiter(islice(values, len(part)), np.int64, len(part)))
-            self.n = len(self._pending)
-            self._pending = None
+            self.n = len(pending)
+        self._pending = None
         self.bits.freeze()
 
     def _write(self, h1: np.ndarray, h2: np.ndarray, values: np.ndarray) -> None:
@@ -414,28 +424,6 @@ class BloomMap:
         return found, probes
 
 
-def _tree_rows(tree) -> list[list[int]]:
-    """The plan rows of a code tree, one per node in preorder."""
-    rows: list[list[int]] = []
-    low = 0  # a node's smallest value is the next leaf in preorder
-    stack = [(tree.root, -1, -1)]  # (node, parent row, on_fail)
-    while stack:
-        idx, up, fail = stack.pop()
-        node = tree.nodes[idx]
-        if up >= 0 and tree.nodes[node.parent].right == idx:
-            rows[up][4] = len(rows)
-        rows.append([node.base_start + 1, node.base_start + node.k, node.offset,
-                     low, -1, fail, up])
-        if node.is_leaf:
-            low += 1
-        else:
-            # a left child fails where its parent does; a right child fails
-            # to its left sibling, which directly follows the parent
-            stack.append((node.right, len(rows) - 1, len(rows)))
-            stack.append((node.left, len(rows) - 1, fail))
-    return rows
-
-
 # -- builders ---------------------------------------------------------
 
 
@@ -516,7 +504,8 @@ def plan_tree_map(dist: ValueDistribution, epsilon: float, seed: int,
     explicit per-value counts tuple.  The hash counts come from
     simple_hash_counts or codetree.plan_tree, as they do on load, and
     both layouts are sized by codetree.size_bit_array.  The caller then
-    store()s pairs and freeze()s the map.
+    store()s pairs and freeze()s the map, which sizes it again from the
+    tallies of the pairs stored.
     """
     _check_epsilon(epsilon)
     if (n is None) == (counts is None):

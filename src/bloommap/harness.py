@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import BloomMap, build_simple, build_tree
+from .core import BloomMap, build_tree
 from .distribution import ValueDistribution, integer_counts
 
 __all__ = [
@@ -65,11 +65,9 @@ def generate_pmap(spec: PMapSpec) -> list[tuple[bytes, bytes]]:
 def build_variant(pairs, dist: ValueDistribution, epsilon: float, seed: int,
                   variant: str) -> BloomMap:
     """Build any of the named variants from the same pair list."""
-    if variant == "simple":
-        return build_simple(pairs, dist, epsilon, seed)
-    if variant in ("standard", "fast"):
-        return build_tree(pairs, dist, epsilon, seed, scheme=variant)
-    raise ValueError(f"unknown variant {variant!r}; expected one of {VARIANTS}")
+    if variant not in VARIANTS:
+        raise ValueError(f"unknown variant {variant!r}; expected one of {VARIANTS}")
+    return build_tree(pairs, dist, epsilon, seed, variant)
 
 
 def build_with_discard(pairs, dist: ValueDistribution, epsilon: float, seed: int,

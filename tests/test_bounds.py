@@ -19,7 +19,6 @@ from bloommap.bounds import (
     lb_general,
     lb_symmetric,
     standard_negative_probe_limit,
-    variant_bits_per_key,
 )
 from bloommap.cli import render
 from bloommap.harness import PMapSpec, generate_pmap
@@ -106,16 +105,6 @@ def test_large_rates_warn():
         lb_general(0.125, 0.125, 0.0, 1.0)
 
 
-def test_variant_closed_forms():
-    h = 1.75
-    eps = 2 ** -7
-    assert variant_bits_per_key("simple", eps, h, 4) == pytest.approx(12.62358160777843, abs=1e-12)
-    assert variant_bits_per_key("standard", eps, h, 4) == pytest.approx(14.232875057574793, abs=1e-12)
-    assert variant_bits_per_key("fast", eps, h, 4) == pytest.approx(18.03368801111204, abs=1e-12)
-    assert variant_bits_per_key("standard", 2 ** -5, 0.0, 1) == pytest.approx(7.213475204444817, abs=1e-12)
-    assert variant_bits_per_key("custom", eps, h, 4) is None
-
-
 def test_probe_limits():
     assert standard_negative_probe_limit(1.75) == 3.75
     assert fast_negative_probe_limit() == 3.0
@@ -152,13 +141,39 @@ def test_space_report_fields():
     assert f"symmetric_lower_bpk={report.symmetric_lower_bpk:.6g}" in kv
 
 
+def test_variant_bpk_reads_the_plan():
+    # tallies that follow the distribution exactly make m the ceiling of
+    # n * variant_bpk, so the two differ by less than one bit over n keys
+    d = _skew()
+    n = 800
+    pairs = generate_pmap(PMapSpec(d, n, seed=6))
+    fast = build_tree(pairs, d, 2 ** -7, seed=1, scheme="fast")
+    custom = {node.index: node.k + (not node.is_leaf) for node in fast.tree.nodes}
+    maps = [
+        build_simple(pairs, d, 2 ** -7, seed=1),
+        build_tree(pairs, d, 2 ** -7, seed=1, scheme="standard"),
+        fast,
+        build_tree(pairs, d, 2 ** -7, seed=1, scheme="custom", custom=custom),
+    ]
+    bpk = []
+    for bmap in maps:
+        t = bmap.simple_ks or tuple(bmap.tree.path_weight(i) for i in range(d.b))
+        assert bmap.describe()["path_weights"] == t
+        report = space_report(bmap)
+        assert 0.0 <= report.achieved_bpk - report.variant_bpk < 1 / n
+        bpk.append(round(report.variant_bpk, 5))
+    assert bpk[:3] == [12.62358, 15.50897, 18.03369]  # simple, standard, fast
+
+
 def test_space_report_custom_has_no_variant_form():
     d = new_distribution([1, 1], "xy")
     pairs = [(f"k{i}".encode(), b"x" if i % 2 else b"y") for i in range(64)]
     tree_probe = build_tree(pairs, d, 2 ** -5, seed=2, scheme="fast")
     custom = {n.index: n.k for n in tree_probe.tree.nodes}
     bmap = build_tree(pairs, d, 2 ** -5, seed=2, scheme="custom", custom=custom)
+    # variant_bpk reads the map's own path weights, so a custom map that
+    # copies the fast counts reports the fast map's value
     report = space_report(bmap)
-    assert report.variant_bpk is None
-    assert "variant_bpk=none" in render(asdict(report)).splitlines()
+    assert report.variant_bpk == space_report(tree_probe).variant_bpk
+    assert f"variant_bpk={report.variant_bpk:.6g}" in render(asdict(report)).splitlines()
     assert report.m == tree_probe.m  # same counts, same geometry

@@ -10,11 +10,14 @@ import math
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from bloommap import (
     InvalidEpsilon,
     build_alphabetic_tree,
     new_distribution,
+    plan_tree_map,
     uniform_distribution,
 )
 from bloommap.codetree import (
@@ -25,6 +28,7 @@ from bloommap.codetree import (
     certify_error_bounds,
     compute_geometry,
     left_branch_count,
+    plan_bounds,
     plan_tree,
     tree_from_depths,
     tree_property_report,
@@ -317,9 +321,22 @@ def test_certify_is_idempotent_once_certified():
     assert [n.k for n in tree.nodes] == before
 
 
+def _pairwise_shadow_sums(tree):
+    """Each value's misassignment bound term by term: value j > i shadows
+    i with 2**-(the counts on j's path below their lowest common ancestor)."""
+    t = [tree.path_weight(i) for i in range(tree.b)]
+    expect = []
+    for i in range(tree.b):
+        terms = []
+        for j in range(i + 1, tree.b):
+            shared = set(tree.path_ids(i)) & set(tree.path_ids(j))
+            terms.append(2.0 ** -(t[j] - sum(tree.nodes[w].k for w in shared)))
+        expect.append(math.fsum(terms))
+    return expect
+
+
 def test_analytic_bounds_match_the_pairwise_sums():
-    # value j > i shadows i with 2**-(the counts on j's path below their
-    # lowest common ancestor); the per-subtree passes must give these sums
+    # the per-subtree passes must give the pairwise sums
     rnd = random.Random(17)
     for trial in range(200):
         b = rnd.randint(1, 24)
@@ -329,16 +346,43 @@ def test_analytic_bounds_match_the_pairwise_sums():
         for node in tree.nodes:
             node.k = rnd.randint(1, 12)
         t = [tree.path_weight(i) for i in range(b)]
-        expect = []
-        for i in range(b):
-            terms = []
-            for j in range(i + 1, b):
-                shared = set(tree.path_ids(i)) & set(tree.path_ids(j))
-                terms.append(2.0 ** -(t[j] - sum(tree.nodes[w].k for w in shared)))
-            expect.append(math.fsum(terms))
         fp, mis = analytic_error_bounds(tree)
         assert fp == pytest.approx(math.fsum(2.0 ** -ti for ti in t), rel=1e-12)
-        assert mis == pytest.approx(expect, rel=1e-12)
+        assert mis == pytest.approx(_pairwise_shadow_sums(tree), rel=1e-12)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    scheme=st.sampled_from(["simple", "standard", "fast", "custom"]),
+    weights=st.lists(st.integers(1, 50), min_size=1, max_size=40),
+    eps_bits=st.integers(2, 16),
+    seed=st.integers(0, 2 ** 32 - 1),
+)
+def test_plan_bounds_match_independent_sums(scheme, weights, eps_bits, seed):
+    # the row pass against the pairwise shadow sums on trees, and against
+    # sum_i 2**-k_i with its suffix sums on the flat layout
+    b, eps = len(weights), 2.0 ** -eps_bits
+    dist = new_distribution(weights, [f"v{i}" for i in range(b)])
+    custom = None
+    if scheme == "custom":
+        rnd = random.Random(seed)
+        tree = build_alphabetic_tree(dist)
+        assign_offsets(tree)
+        lean = {n.index: rnd.randint(eps_bits, eps_bits + 6) if n.is_leaf else rnd.randint(1, 6)
+                for n in tree.nodes}
+        assign_hash_counts(tree, eps, "custom", custom=lean)
+        custom = {n.index: n.k for n in tree.nodes}
+    bmap = plan_tree_map(dist, eps, 0, scheme, n=b, custom=custom)
+    if bmap.tree is None:
+        t = bmap.simple_ks
+        expect = [math.fsum(2.0 ** -k for k in t[i + 1:]) for i in range(b)]
+    else:
+        t = tuple(bmap.tree.path_weight(i) for i in range(b))
+        expect = _pairwise_shadow_sums(bmap.tree)
+    fp, mis, path_weights = plan_bounds(bmap._plan)
+    assert path_weights == t
+    assert fp == pytest.approx(math.fsum(2.0 ** -ti for ti in t), rel=1e-12)
+    assert mis == pytest.approx(expect, rel=1e-12)
 
 
 def test_plan_tree_takes_custom_counts_as_stated():

@@ -391,6 +391,23 @@ def test_batch_store_matches_scalar_store():
         assert built.bits.to_bytes() == stored.bits.to_bytes() == want
 
 
+@pytest.mark.parametrize("scheme", ["simple", "standard", "fast"])
+def test_incremental_map_is_sized_from_what_it_stores(scheme):
+    # planned for a/b/c/d but stored 1/4 a and 3/4 d: sized from the stated
+    # distribution, the array would fill past half and break epsilon
+    rnd = random.Random(21)
+    keys = list(dict.fromkeys(rnd.randbytes(16) for _ in range(40_000)))
+    pairs = [(key, "a" if i % 4 == 0 else "d") for i, key in enumerate(keys)]
+    stored = plan_tree_map(SKEW, 2 ** -7, seed=5, scheme=scheme, n=len(pairs))
+    for key, label in pairs:
+        stored.store(key, SKEW.index_of(label))
+    stored.freeze()
+    built = build_tree(pairs, SKEW, 2 ** -7, seed=5, scheme=scheme)
+    assert (stored.m, stored.n) == (built.m, built.n)
+    assert stored.bits.to_bytes() == built.bits.to_bytes()
+    assert abs(stored.bits.zero_fraction() - 0.5) < 0.005
+
+
 @settings(max_examples=80, deadline=None)
 @given(
     picks=st.lists(
