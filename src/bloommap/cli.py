@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+from collections import Counter
 from dataclasses import asdict
 
 from . import bounds as bounds_mod
@@ -83,11 +84,8 @@ def render(record: dict) -> str:
 
 def _cmd_build(args) -> int:
     pairs = _read_pairs_tsv(args.input)
-    tally: dict[bytes, int] = {}
-    for _, label in pairs:
-        tally[label] = tally.get(label, 0) + 1
-    labels = list(tally)
-    dist = new_distribution([tally[lab] for lab in labels], labels)
+    tally = Counter(label for _, label in pairs)  # labels in first-seen order
+    dist = new_distribution(list(tally.values()), list(tally))
     bmap = harness.build_variant(pairs, dist, args.epsilon, args.seed, args.variant)
     mapfile.save(bmap, args.out)
     print(
@@ -114,12 +112,8 @@ def _cmd_bench(args) -> int:
     dist = load_distribution(args.dist)
     spec = harness.PMapSpec(dist=dist, n=args.n, seed=args.seed)
     pairs = harness.generate_pmap(spec)
-    if args.discard:
-        bmap = harness.build_with_discard(
-            pairs, dist, args.epsilon, args.seed, args.variant
-        )
-    else:
-        bmap = harness.build_variant(pairs, dist, args.epsilon, args.seed, args.variant)
+    build = harness.build_with_discard if args.discard else harness.build_variant
+    bmap = build(pairs, dist, args.epsilon, args.seed, args.variant)
     report = harness.measure(bmap, pairs, args.neg_samples, seed=args.seed + 1)
     print(render(asdict(report) | asdict(bounds_mod.space_report(bmap))))
     return 0

@@ -10,9 +10,9 @@ whose path holds a segment that showed a zero bit.  On a tree that is the
 right-first walk abandoning any subtree whose node fails; on the flat
 layout it stops at the first fully set block from the top.  Neither variant can
 return "not present" for a stored key.  The walk has a scalar form,
-BloomMap.query, for one key, and a batch form, BloomMap.query_many, that
-moves a whole batch of keys through it one probe at a time and returns
-the same answers and probe counts.
+BloomMap.query, for one key, and a batch form, BloomMap.query_many, one
+probe per key a step, with the same answers and probe counts; both, and
+the writer, step through one probe table compiled from the plan.
 
 A map's bits depend only on the pairs it holds, so one writer sets them,
 fed (h1, h2, value index) arrays a chunk of keys at a time.  store()
@@ -200,8 +200,9 @@ class BloomMap:
     parent (-1 at the top), so value i's path climbs from its leaf row.  A
     walk that finds the row set moves to on_pass, the right child (-1 at a
     leaf, which answers low); a zero bit moves it to on_fail, where value
-    low - 1's path leaves the rows known set (-1 when low is 0).  Writing,
-    both query forms, the hash family's size and the file digest read it.
+    low - 1's path leaves the rows known set (-1 when low is 0).  Sizing,
+    the bounds and the file digest read it; writing and both query forms
+    step through its _ProbeTable for the map's m, compiled on first use.
     """
 
     def __init__(self, *, variant: str, dist: ValueDistribution, epsilon: float,
@@ -215,12 +216,8 @@ class BloomMap:
         self.simple_ks = simple_ks
         self.n = n
         self._plan = rows = codetree._tree_rows(tree) if tree is not None else _flat_rows(simple_ks)
-        # every walk starts atop value b - 1's path: the root, or the last block
-        self._top = 0 if tree is not None else len(rows) - 1
-        first, last, offset, low, on_pass, on_fail, up = np.array(rows, dtype=np.int64).T.copy()
-        self._columns = (first, last, offset.astype(np.uint64), low, on_pass, on_fail, up)
-        self._leaves = np.flatnonzero(on_pass < 0)  # value i's leaf row, in preorder
-        self.family = HashFamily(seed, bits.m, int(last.max()))
+        self._probes: _ProbeTable | None = None  # compiled from _plan on first use
+        self.family = HashFamily(seed, bits.m, max(row[1] for row in rows))
         self._pending: dict[bytes, int] | None = None if bits.frozen else {}
 
     # -- shared geometry ----------------------------------------------
@@ -311,66 +308,60 @@ class BloomMap:
         self._pending = None
         self.bits.freeze()
 
+    def _table(self) -> _ProbeTable:
+        """The probe table for the map's m, compiled on first use, as freeze()
+        may resize m and a load needs none; racing threads compile it twice."""
+        table = self._probes
+        if table is None or table.m != self.m:
+            table = self._probes = _ProbeTable(self._plan, self.m)
+        return table
+
     def _write(self, h1: np.ndarray, h2: np.ndarray, values: np.ndarray) -> None:
         """Set the bits of one chunk of keys, given their digests and value
-        indices.
-
-        Each key climbs its value's path from the leaf row, one probe a
-        step, as query_many walks down; a step's positions are OR-ed into
-        the array and dropped, so no more than one chunk's are ever held.
+        indices: each key climbs the probe table from its value's leaf
+        entry, one probe a step, as query_many walks down; a step's
+        positions are OR-ed into the array and dropped, so no more than
+        one chunk's are ever held.
         """
-        first, last, offset, _, _, _, up = self._columns
+        table = self._table()
         m = np.uint64(self.m)
-        row = self._leaves[values]
-        j = first[row]
-        while row.size:
-            pos = self.family.base_hash_batch(j, h1, h2)
-            pos += offset[row]
-            pos %= m
-            self.bits.set_many(pos)
-            leave = j == last[row]
-            row = np.where(leave, up[row], row)
-            j = np.where(leave, first[row], j + 1)  # a key past the top is dropped below
-            kept = row >= 0
+        d = table.leaf[values]
+        while d.size:
+            pos = self.family.base_hash_batch(table.j[d], h1, h2)
+            pos += table.offset[d]
+            self.bits.set_many(np.minimum(pos, pos - m))  # (h + offset) % m, both below m
+            d = table.up[d]
+            kept = d >= 0  # a key past the top of its path is dropped
             if not kept.all():
-                row, j, h1, h2 = row[kept], j[kept], h1[kept], h2[kept]
+                d, h1, h2 = d[kept], h1[kept], h2[kept]
 
     # -- reading ------------------------------------------------------
 
     def query(self, key) -> QueryOutcome:
         """Look up a key.  Never reports absence for a stored key.
 
-        Walks _plan from the top of value b - 1's path down to the first
-        whole path that is set, caching base hashes by index so subtrees
+        Steps through the probe table, as lists made on the first call,
+        one bit read a step, caching base hashes by index so subtrees
         sharing them reuse them.
         """
         if not self.bits.frozen:
             raise ValueError("freeze the map before querying")
         key = _as_key(key)
-        get_bit = self.bits.get_bit
-        base_hash = self.family.base_hash
-        m = self.m
-        plan = self._plan
+        get_bit, base_hash, m = self.bits.get_bit, self.family.base_hash, self.m
+        table = self._table()
+        if table.lists is None:  # a scalar walk indexes lists faster than arrays
+            table.lists = (table.j.tolist(), table.offset.tolist(), table.nxt.tolist())
+        js, offsets, nxt = table.lists
         cache = [None] * (self.family.k + 1)
-        probes = 0
-        row, found = self._top, None
-        while row >= 0:
-            first, last, offset, low, on_pass, on_fail, _ = plan[row]
-            for j in range(first, last + 1):
-                h = cache[j]
-                if h is None:
-                    h = cache[j] = base_hash(j, key)
-                if not get_bit((h + offset) % m):
-                    break
-            else:
-                probes += last - first + 1
-                if on_pass < 0:
-                    found = low  # the whole path is set
-                    break
-                row = on_pass
-                continue
-            probes += j - first + 1  # the zero bit was probe j - first + 1
-            row = on_fail
+        probes, d = 0, table.top
+        while d >= 0:
+            j = js[d]
+            h = cache[j]
+            if h is None:
+                h = cache[j] = base_hash(j, key)
+            d = nxt[2 * d + get_bit((h + offsets[d]) % m)]
+            probes += 1
+        found = None if d == -1 else -2 - d
         # each evaluated index fills one cache slot; slot 0 is never used
         evals = len(cache) - cache.count(None)
         label = None if found is None else self.dist.labels[found]
@@ -380,48 +371,69 @@ class BloomMap:
         """Look up a batch of keys: (value_index, probes) as two int64
         arrays, -1 marking a key reported absent.
 
-        Runs query's walk for every key at once, one probe per key a step.
-        A key's value is always the largest one under its current segment,
-        so a set row hands on to on_pass and a zero bit to on_fail; a key
-        leaves the batch on a set leaf or when no value is left.
-        Answers and probe counts equal query's; base hash evaluations are
-        not counted.
+        Runs query's walk for every key at once, one probe per key a step:
+        each step gathers the keys' table entries, reads their bits and
+        takes the next entries with one gather from nxt; a key leaves the
+        batch at a terminal.  Answers and probe counts equal query's; base
+        hash evaluations are not counted.
         """
         if not self.bits.frozen:
             raise ValueError("freeze the map before querying")
         keys = _as_keys(list(keys))
         found = np.full(len(keys), -1, dtype=np.int64)
         probes = np.zeros(len(keys), dtype=np.int64)
-        if not keys:
-            return found, probes
-        first, last, offset, low, on_pass, on_fail, _ = self._columns
+        table = self._table()
         h1, h2 = self.family.digest_batch(keys)
         # read whatever bit array the map holds now; keep no view of it
         bits = np.frombuffer(self.bits._buf, dtype=np.uint8)
         m = np.uint64(self.m)
         live = np.arange(len(keys))
-        row = np.full(len(keys), self._top)
-        j = first[row]
+        d = np.full(len(keys), table.top)
         step = 0
         while live.size:
             step += 1
-            pos = self.family.base_hash_batch(j, h1, h2)
-            pos += offset[row]
-            pos %= m
-            miss = ((bits[pos >> 3] >> (pos & 7)) & 1) == 0
-            leave = miss | (j == last[row])
-            nxt = np.where(leave, np.where(miss, on_fail[row], on_pass[row]), row)
-            done = nxt < 0
+            pos = self.family.base_hash_batch(table.j[d], h1, h2)
+            pos += table.offset[d]
+            pos = np.minimum(pos, pos - m)  # (h + offset) % m, both below m
+            d = table.nxt[2 * d + ((bits[pos >> 3] & _BIT[pos & 7]) != 0)]
+            done = d < 0
             if done.any():
-                # a set leaf answers its value, a zero bit at value 0 answers -1
-                found[live[done]] = low[row[done]] - miss[done]
+                found[live[done]] = -2 - d[done]
                 probes[live[done]] = step
                 kept = ~done
-                live, h1, h2 = live[kept], h1[kept], h2[kept]
-                j, leave, nxt = j[kept], leave[kept], nxt[kept]
-            row = nxt
-            j = np.where(leave, first[row], j + 1)
+                live, h1, h2, d = live[kept], h1[kept], h2[kept], d[kept]
         return found, probes
+
+
+_BIT = np.array([1 << s for s in range(8)], dtype=np.uint8)  # bit p's weight in its byte
+
+
+class _ProbeTable:
+    """A plan compiled for one m, one entry per probe (row, hash index j) in
+    plan order.  Entry d reads bit (base_hash(j[d], key) + offset[d]) % m,
+    offset[d] being its row's offset % m; a walk reads nxt[2 d + bit] next,
+    and a write up[d].  Within a row both are d + 1; at its end, the first
+    entry of on_pass, on_fail or up, or a terminal -2 - answer (-1: absent).
+    Queries start at top, the plan's last root, and value i's writes at leaf[i];
+    lists holds (j, offset, nxt) as Python lists once query has made them.
+    """
+
+    def __init__(self, rows, m: int):
+        first, last, offset, low, on_pass, on_fail, up = np.array(rows, dtype=np.int64).T
+        k = last - first + 1
+        start = np.cumsum(k) - k  # each row's first entry
+        row = np.repeat(np.arange(len(k)), k)
+        d = np.arange(len(row)) + 1  # the next entry in the same row
+        self.j = (first[row] + d - 1 - start[row]).astype(np.uint64)
+        self.offset = (offset % m).astype(np.uint64)[row]
+        at_end = d == (start + k)[row]
+        on_set = np.where(on_pass >= 0, start[on_pass], -2 - low)[row]
+        # a zero bit with no row left happens only at value 0: absent
+        on_zero = np.where(on_fail >= 0, start[on_fail], -1)[row]
+        self.nxt = np.stack([on_zero, np.where(at_end, on_set, d)], axis=1).ravel()
+        self.up = np.where(at_end, np.where(up >= 0, start[up], -1)[row], d)
+        self.leaf = start[on_pass < 0]
+        self.top, self.m, self.lists = int(start[np.flatnonzero(up < 0)[-1]]), m, None
 
 
 # -- builders ---------------------------------------------------------

@@ -55,9 +55,7 @@ def generate_pmap(spec: PMapSpec) -> list[tuple[bytes, bytes]]:
             continue
         seen.add(key)
         keys.append(key)
-    labels: list[bytes] = []
-    for label, count in zip(spec.dist.labels, counts):
-        labels.extend([label] * count)
+    labels = [label for label, count in zip(spec.dist.labels, counts) for _ in range(count)]
     rnd.shuffle(labels)
     return list(zip(keys, labels))
 
@@ -142,10 +140,11 @@ def measure(bmap: BloomMap, pairs, neg_samples: int, seed: int) -> ErrorReport:
     stored = set(keys)
     rnd = random.Random(seed)
     absent = []
-    while len(absent) < neg_samples:
-        key = rnd.randbytes(KEY_BYTES)
-        if key not in stored:
-            absent.append(key)
+    while need := neg_samples - len(absent):
+        # randbytes fills 32-bit words in order: one draw of need keys gives need draws of one
+        block = rnd.randbytes(KEY_BYTES * need)
+        draws = (block[i : i + KEY_BYTES] for i in range(0, len(block), KEY_BYTES))
+        absent += [key for key in draws if key not in stored]
     found, probes = bmap.query_many(absent)
     return ErrorReport(
         false_positive_rate=int(np.count_nonzero(found >= 0)) / neg_samples,

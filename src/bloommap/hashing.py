@@ -70,9 +70,14 @@ def step_of(h1: np.ndarray) -> np.ndarray:
 
 
 def _reduce_np(h: np.ndarray, m: int) -> np.ndarray:
-    # (h * m) >> 64 exactly, summed from the four 32 x 32 -> 64 bit partial
-    # products of h and m; no sum below exceeds 2**64 - 1.  In-place updates
-    # keep the many small batches of a build cheap.
+    # (h * m) >> 64 exactly.  Below m = 2**32 it is (h_hi * m + (h_lo * m >> 32))
+    # >> 32, where both products stay below 2**64 - 2**32, so no sum wraps.
+    # Above, it is summed from the four 32 x 32 -> 64 bit partial products of
+    # h and m, no sum exceeding 2**64 - 1, with in-place updates that keep
+    # the many small batches of a build cheap.
+    if m < 1 << 32:
+        m = np.uint64(m)
+        return ((h >> _S32) * m + ((h & _LO32) * m >> _S32)) >> _S32
     m_hi, m_lo = np.uint64(m >> 32), np.uint64(m & 0xFFFFFFFF)
     h_hi, h_lo = h >> _S32, h & _LO32
     cross = h_hi * m_lo
@@ -160,7 +165,7 @@ class HashFamily:
         if isinstance(j, np.ndarray):
             if j.size and not (1 <= j.min() and j.max() <= self.k):
                 raise IndexError(f"hash indices {j.min()}..{j.max()} outside 1..{self.k}")
-            step = j.astype(np.uint64)
+            step = j.astype(np.uint64, copy=False)
         elif not 1 <= j <= self.k:
             raise IndexError(f"hash index {j} outside 1..{self.k}")
         else:

@@ -777,20 +777,57 @@ def test_walk_tables_hold_one_row_per_segment(variant):
     bmap = build_variant(pairs, d, 2 ** -5, 3, variant)
     rows = len(bmap._plan)
     assert rows == (d.b if variant == "simple" else len(bmap.tree.nodes)) <= 2 * d.b - 1
-    assert all(len(column) == rows for column in bmap._columns)
-    # climbing from value i's leaf row lists its whole path, leaf first
-    for i, row in enumerate(bmap._leaves):
+    # the probe table holds one entry per probe of every row
+    table = bmap._table()
+    entries = sum(last - first + 1 for first, last, *_ in bmap._plan)
+    assert all(len(column) == entries for column in (table.j, table.offset, table.up))
+    assert len(table.nxt) == 2 * entries and len(table.leaf) == d.b
+
+    def probes(segments):
+        return [(j, offset % bmap.m) for first, last, offset in segments
+                for j in range(first, last + 1)]
+
+    # climbing from value i's leaf entry by the upward links lists the
+    # probes of its whole path, leaf row first, as the plan rows hold it
+    leaf_rows = [r for r, row in enumerate(bmap._plan) if row[4] < 0]
+    for i, (row, entry) in enumerate(zip(leaf_rows, table.leaf.tolist())):
+        climbed = []
+        while entry >= 0:
+            climbed.append((int(table.j[entry]), int(table.offset[entry])))
+            entry = int(table.up[entry])
         segments = []
         while row >= 0:
             first, last, offset, low, _, _, row = bmap._plan[row]
             assert low <= i
             segments.append((first, last, offset))
+        assert climbed == probes(segments)
         if variant == "simple":
             start = sum(bmap.simple_ks[:i])
             assert segments == [(start + 1, start + bmap.simple_ks[i], 0)]
         else:
             nodes = [bmap.tree.nodes[w] for w in reversed(bmap.tree.path_ids(i))]
             assert segments == [(n.base_start + 1, n.base_start + n.k, n.offset) for n in nodes]
+
+
+def test_probe_table_follows_the_m_freeze_sizes():
+    # two keys shrink a map planned for 10**4 below its largest offset,
+    # 126, so a table compiled for the planned m would read and write
+    # other bits than the map's final m gives
+    u = uniform_distribution(64)
+    bmap = plan_tree_map(u, 2 ** -7, seed=5, scheme="fast", n=10 ** 4)
+    pairs = [(b"first", u.labels[3]), (b"second", u.labels[60])]
+    for key, label in pairs:
+        bmap.store(key, u.index_of(label))
+    bmap.freeze()
+    assert bmap.m < max(row[2] for row in bmap._plan) == 126
+    assert bmap.bits.to_bytes() == build_tree(pairs, u, 2 ** -7, 5, "fast").bits.to_bytes()
+    keys = [key for key, _ in pairs] + [f"absent-{t}".encode() for t in range(200)]
+    reference = [_tree_reference(bmap, key) for key in keys]
+    assert [(o.value_index, o.probes, o.hash_evals) for o in map(bmap.query, keys)] == reference
+    found, probes = bmap.query_many(keys)
+    assert found.tolist() == [-1 if i is None else i for i, _, _ in reference]
+    assert probes.tolist() == [p for _, p, _ in reference]
+    assert found[:2].tolist() == [3, 60]
 
 
 def test_call_counts_equal_reported_counts(monkeypatch):

@@ -203,6 +203,25 @@ def test_measure_matches_a_scalar_tally(variant):
     assert measure(bmap, [], 1000, seed=6) == _scalar_measure(bmap, [], 1000, seed=6)
 
 
+def test_measure_draws_the_absent_keys_one_draw_per_key_gives():
+    # measure draws its absent keys a round at a time; they must be the
+    # keys that one draw per key gives, also where a draw is a stored key
+    # and one more is drawn in its place
+    seed, neg = 21, 1000
+    rnd = random.Random(seed)
+    draws = [rnd.randbytes(KEY_BYTES) for _ in range(neg + 2)]
+    taken = {draws[3], draws[700]}
+    pairs = generate_pmap(PMapSpec(TERN, 300, seed=9)) + [(draws[3], b"a"), (draws[700], b"c")]
+    bmap = build_variant(pairs, TERN, 2 ** -4, seed=4, variant="standard")
+    batches = []
+    query_many = bmap.query_many
+    bmap.query_many = lambda keys: batches.append(list(keys)) or query_many(keys)
+    report = measure(bmap, pairs, neg, seed=seed)
+    assert batches[1] == [key for key in draws if key not in taken]
+    del bmap.query_many
+    assert report == _scalar_measure(bmap, pairs, neg, seed=seed)
+
+
 def test_measure_is_deterministic():
     pairs = generate_pmap(PMapSpec(TERN, 200, seed=11))
     bmap = build_variant(pairs, TERN, 2 ** -5, seed=5, variant="simple")

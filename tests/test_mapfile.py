@@ -306,6 +306,34 @@ def test_large_b_loads_in_linear_memory():
     assert peak < 32e6
 
 
+def test_large_b_first_queries_compile_the_probe_table_in_bounds():
+    # a load compiles no probe table; the first batch lookup compiles its
+    # 129,999 entries and the first scalar lookup its lists, within the
+    # time and the memory a load of this b is allowed
+    b = 10 ** 4
+    skewed = new_distribution([0.95 ** i for i in range(b)], [f"v{i}" for i in range(b)])
+    bmap = plan_tree_map(skewed, 2 ** -7, seed=1, scheme="standard", n=10 ** 5)
+    bmap.freeze()
+    data = _saved(bmap)
+    keys = [f"k{t}".encode() for t in range(1000)]
+    back = load(io.BytesIO(data))
+    assert back._probes is None
+    for lookup in (lambda: back.query_many(keys), lambda: back.query(keys[0])):
+        start = time.perf_counter()
+        lookup()
+        assert time.perf_counter() - start < 1.0
+    assert len(back._table().j) == 129_999
+    back = load(io.BytesIO(data))
+    tracemalloc.start()
+    try:
+        back.query_many(keys)
+        back.query(keys[0])
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 32e6
+
+
 def test_trailing_bytes_rejected():
     _, maps = _maps()
     data = _saved(maps["fast"])
