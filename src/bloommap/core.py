@@ -350,7 +350,10 @@ class BloomMap:
         get_bit, base_hash, m = self.bits.get_bit, self.family.base_hash, self.m
         table = self._table()
         if table.lists is None:  # a scalar walk indexes lists faster than arrays
-            table.lists = (table.j.tolist(), table.offset.tolist(), table.nxt.tolist())
+            shared = {}  # one int object per value, where tolist() makes one per element
+            table.lists = tuple([shared.setdefault(v, v) for lo in range(0, len(column), CHUNK)
+                                 for v in column[lo : lo + CHUNK].tolist()]
+                                for column in (table.j, table.offset, table.nxt))
         js, offsets, nxt = table.lists
         cache = [None] * (self.family.k + 1)
         probes, d = 0, table.top
@@ -387,19 +390,21 @@ class BloomMap:
         # read whatever bit array the map holds now; keep no view of it
         bits = np.frombuffer(self.bits._buf, dtype=np.uint8)
         m = np.uint64(self.m)
+        hash_at = self.family._hash_at  # the table's j lie in 1..k by construction
         live = np.arange(len(keys))
         d = np.full(len(keys), table.top)
         step = 0
         while live.size:
             step += 1
-            pos = self.family.base_hash_batch(table.j[d], h1, h2)
+            pos = hash_at(table.j[d], h1, h2)
             pos += table.offset[d]
             pos = np.minimum(pos, pos - m)  # (h + offset) % m, both below m
             d = table.nxt[2 * d + ((bits[pos >> 3] & _BIT[pos & 7]) != 0)]
             done = d < 0
             if done.any():
-                found[live[done]] = -2 - d[done]
-                probes[live[done]] = step
+                ended = live[done]
+                found[ended] = -2 - d[done]
+                probes[ended] = step
                 kept = ~done
                 live, h1, h2, d = live[kept], h1[kept], h2[kept], d[kept]
         return found, probes

@@ -122,21 +122,15 @@ def measure(bmap: BloomMap, pairs, neg_samples: int, seed: int) -> ErrorReport:
 
     neg_samples must be at least 1000; below that the rates are mostly
     noise.  Labels may be bytes or str; one that the map's distribution
-    lacks raises UnknownValue.  The stored keys and then the fresh ones go
-    through BloomMap.query_many, one batch each, which answers exactly as
-    query does.
+    lacks raises UnknownValue.  The stored keys and the fresh ones go
+    through one BloomMap.query_many batch, stored keys first, which answers
+    exactly as query does.
     """
     if neg_samples < 1000:
         raise ValueError(f"need at least 1000 negative samples, got {neg_samples}")
     b = bmap.b
     keys = [key for key, _ in pairs]
     truth = bmap.dist.indices_of([label for _, label in pairs])
-    found, probes = bmap.query_many(keys)
-    counts = np.bincount(truth, minlength=b).tolist()
-    wrong = np.bincount(truth[(found >= 0) & (found != truth)], minlength=b).tolist()
-    bottoms = np.bincount(truth[found < 0], minlength=b).tolist()
-    # float sums of integer probe counts stay exact below 2**53
-    probe_sums = np.bincount(truth, weights=probes, minlength=b).astype(np.int64).tolist()
     stored = set(keys)
     rnd = random.Random(seed)
     absent = []
@@ -145,9 +139,15 @@ def measure(bmap: BloomMap, pairs, neg_samples: int, seed: int) -> ErrorReport:
         block = rnd.randbytes(KEY_BYTES * need)
         draws = (block[i : i + KEY_BYTES] for i in range(0, len(block), KEY_BYTES))
         absent += [key for key in draws if key not in stored]
-    found, probes = bmap.query_many(absent)
+    (found, neg_found), (probes, neg_probes) = (
+        np.split(column, [len(keys)]) for column in bmap.query_many(keys + absent))
+    counts = np.bincount(truth, minlength=b).tolist()
+    wrong = np.bincount(truth[(found >= 0) & (found != truth)], minlength=b).tolist()
+    bottoms = np.bincount(truth[found < 0], minlength=b).tolist()
+    # float sums of integer probe counts stay exact below 2**53
+    probe_sums = np.bincount(truth, weights=probes, minlength=b).astype(np.int64).tolist()
     return ErrorReport(
-        false_positive_rate=int(np.count_nonzero(found >= 0)) / neg_samples,
+        false_positive_rate=int(np.count_nonzero(neg_found >= 0)) / neg_samples,
         misassignment_rates=tuple(
             wrong[i] / counts[i] if counts[i] else 0.0 for i in range(b)
         ),
@@ -155,7 +155,7 @@ def measure(bmap: BloomMap, pairs, neg_samples: int, seed: int) -> ErrorReport:
             bottoms[i] / counts[i] if counts[i] else 0.0 for i in range(b)
         ),
         zero_fraction=bmap.bits.zero_fraction(),
-        neg_probe_mean=int(probes.sum()) / neg_samples,
+        neg_probe_mean=int(neg_probes.sum()) / neg_samples,
         pos_probe_means=tuple(
             probe_sums[i] / counts[i] if counts[i] else 0.0 for i in range(b)
         ),

@@ -165,9 +165,10 @@ class HashFamily:
         if isinstance(j, np.ndarray):
             if j.size and not (1 <= j.min() and j.max() <= self.k):
                 raise IndexError(f"hash indices {j.min()}..{j.max()} outside 1..{self.k}")
-            step = j.astype(np.uint64, copy=False)
         elif not 1 <= j <= self.k:
             raise IndexError(f"hash index {j} outside 1..{self.k}")
-        else:
-            step = np.uint64(j)
-        return _reduce_np(h1 + step * h2, self.m)
+        return self._hash_at(j, h1, h2)
+
+    def _hash_at(self, j, h1: np.ndarray, h2: np.ndarray) -> np.ndarray:
+        """base_hash_batch without its range check, for j known to lie in 1..k."""
+        return _reduce_np(h1 + np.asarray(j, dtype=np.uint64) * h2, self.m)

@@ -782,6 +782,8 @@ def test_walk_tables_hold_one_row_per_segment(variant):
     entries = sum(last - first + 1 for first, last, *_ in bmap._plan)
     assert all(len(column) == entries for column in (table.j, table.offset, table.up))
     assert len(table.nxt) == 2 * entries and len(table.leaf) == d.b
+    # query_many hashes table.j unchecked, so every index must lie in 1..k
+    assert 1 <= int(table.j.min()) and int(table.j.max()) <= bmap.family.k
 
     def probes(segments):
         return [(j, offset % bmap.m) for first, last, offset in segments

@@ -217,7 +217,10 @@ def test_measure_draws_the_absent_keys_one_draw_per_key_gives():
     query_many = bmap.query_many
     bmap.query_many = lambda keys: batches.append(list(keys)) or query_many(keys)
     report = measure(bmap, pairs, neg, seed=seed)
-    assert batches[1] == [key for key in draws if key not in taken]
+    # one batch walk answers both: the stored keys first, then the draws
+    [batch] = batches
+    assert batch[: len(pairs)] == [key for key, _ in pairs]
+    assert batch[len(pairs) :] == [key for key in draws if key not in taken]
     del bmap.query_many
     assert report == _scalar_measure(bmap, pairs, neg, seed=seed)
 

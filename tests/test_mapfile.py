@@ -323,15 +323,20 @@ def test_large_b_first_queries_compile_the_probe_table_in_bounds():
         lookup()
         assert time.perf_counter() - start < 1.0
     assert len(back._table().j) == 129_999
-    back = load(io.BytesIO(data))
     tracemalloc.start()
     try:
+        back = load(io.BytesIO(data))
+        loaded = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
         back.query_many(keys)
         back.query(keys[0])
-        _, peak = tracemalloc.get_traced_memory()
+        held, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert peak < 32e6
+    # the two first calls' peak counts from after the load; what the map
+    # holds after them, its table and lists included, counts the load too
+    assert peak - loaded < 32e6
+    assert held < 32e6
 
 
 def test_trailing_bytes_rejected():
