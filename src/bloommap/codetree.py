@@ -69,6 +69,7 @@ class CodeTree:
         self.root: int | None = None
         self.leaves: tuple[int, ...] = ()
         self.certification: CertificationReport | None = None
+        self.rows: list[list[int]] | None = None  # plan rows of the certified counts
 
     # -- construction -------------------------------------------------
 
@@ -422,14 +423,16 @@ def certify_error_bounds(tree: CodeTree, epsilon: float) -> CertificationReport:
     Each round finds the most violated constraint and bumps the leaf
     contributing its largest term, so the loop converges quickly (every
     bump at least halves that term).  The returned report always
-    satisfies report.certified.
+    satisfies report.certified, and tree.rows holds the plan rows of the
+    certified counts, which a map then reads as its plan.
     """
     _check_epsilon(epsilon)
     refresh_base_starts(tree)  # once: a leaf bump moves no node's slice
     leaves = [tree.nodes[w] for w in tree.leaves]
     bumped: list[int] = []
     while True:
-        fp, mis, t = plan_bounds(_tree_rows(tree))
+        rows = _tree_rows(tree)
+        fp, mis, t = plan_bounds(rows)
         worst_gap = fp - epsilon
         worst_constraint = -1  # -1 means the false positive bound
         for i, bound in enumerate(mis):
@@ -449,6 +452,7 @@ def certify_error_bounds(tree: CodeTree, epsilon: float) -> CertificationReport:
             )
         leaves[target].k += 1
         bumped.append(target)
+    tree.rows = rows
     return CertificationReport(
         epsilon=epsilon,
         false_positive_bound=fp,

@@ -23,21 +23,27 @@ sorting the 64-bit h1 digests, comparing key bytes only where digests
 are equal.  Both layouts are planned by plan_tree_map and sized by one
 rule, m = ceil(log2(e) * sum_i count_i * t_i), which both build paths
 apply to the tallies of the pairs they write.
+
+Only the batch code imports numpy, on its first call: loading a map,
+a scalar query and describe() run on the standard library alone.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import accumulate, islice
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from . import codetree
 from .bounds import _check_epsilon
 from .distribution import ValueDistribution, integer_counts
 from .errors import DuplicateKey, FrozenError
 from .hashing import HashFamily, step_of
+
+if TYPE_CHECKING:
+    import numpy as np
 
 __all__ = [
     "BitArray",
@@ -77,6 +83,15 @@ class BitArray:
         self._frozen = False
         self._ones: int | None = None  # counted once the array is frozen
 
+    @classmethod
+    def _frozen_over(cls, m: int, buf: bytearray) -> BitArray:
+        """A frozen array stored in buf itself, uncopied: buf holds exactly
+        its (m + 7) // 8 bytes and its owner hands it over.  load builds
+        its bit array so, copying the file's bytes only once."""
+        bits = cls.__new__(cls)
+        bits.m, bits._buf, bits._frozen, bits._ones = m, buf, True, None
+        return bits
+
     def get_bit(self, i: int) -> int:
         return (self._buf[i >> 3] >> (i & 7)) & 1
 
@@ -95,6 +110,8 @@ class BitArray:
         """
         if self._frozen:
             raise FrozenError("bit array is frozen")
+        import numpy as np
+
         pos = np.asarray(positions, dtype=np.uint64)
         if pos.size and int(pos.max()) >= self.m:
             raise IndexError(f"bit position {int(pos.max())} outside 0..{self.m - 1}")
@@ -203,6 +220,8 @@ class BloomMap:
     low - 1's path leaves the rows known set (-1 when low is 0).  Sizing,
     the bounds and the file digest read it; writing and both query forms
     step through its _ProbeTable for the map's m, compiled on first use.
+    A tree map takes the rows its tree's certification left (tree.rows),
+    so a load builds them once.
     """
 
     def __init__(self, *, variant: str, dist: ValueDistribution, epsilon: float,
@@ -215,7 +234,7 @@ class BloomMap:
         self.tree = tree
         self.simple_ks = simple_ks
         self.n = n
-        self._plan = rows = codetree._tree_rows(tree) if tree is not None else _flat_rows(simple_ks)
+        self._plan = rows = tree.rows if tree is not None else _flat_rows(simple_ks)
         self._probes: _ProbeTable | None = None  # compiled from _plan on first use
         self.family = HashFamily(seed, bits.m, max(row[1] for row in rows))
         self._pending: dict[bytes, int] | None = None if bits.frozen else {}
@@ -292,6 +311,8 @@ class BloomMap:
         size theirs; one with none keeps the m it was planned with."""
         pending = self._pending
         if pending:
+            import numpy as np
+
             tallies = np.zeros(self.b, dtype=np.int64)
             values = iter(pending.values())
             for _ in range(0, len(pending), CHUNK):
@@ -323,6 +344,8 @@ class BloomMap:
         positions are OR-ed into the array and dropped, so no more than
         one chunk's are ever held.
         """
+        import numpy as np
+
         table = self._table()
         m = np.uint64(self.m)
         d = table.leaf[values]
@@ -340,21 +363,15 @@ class BloomMap:
     def query(self, key) -> QueryOutcome:
         """Look up a key.  Never reports absence for a stored key.
 
-        Steps through the probe table, as lists made on the first call,
-        one bit read a step, caching base hashes by index so subtrees
-        sharing them reuse them.
+        Steps through the probe table's lists, one bit read a step,
+        caching base hashes by index so subtrees sharing them reuse them.
         """
         if not self.bits.frozen:
             raise ValueError("freeze the map before querying")
         key = _as_key(key)
         get_bit, base_hash, m = self.bits.get_bit, self.family.base_hash, self.m
         table = self._table()
-        if table.lists is None:  # a scalar walk indexes lists faster than arrays
-            shared = {}  # one int object per value, where tolist() makes one per element
-            table.lists = tuple([shared.setdefault(v, v) for lo in range(0, len(column), CHUNK)
-                                 for v in column[lo : lo + CHUNK].tolist()]
-                                for column in (table.j, table.offset, table.nxt))
-        js, offsets, nxt = table.lists
+        js, offsets, nxt = table.j_list, table.offset_list, table.nxt_list
         cache = [None] * (self.family.k + 1)
         probes, d = 0, table.top
         while d >= 0:
@@ -382,6 +399,8 @@ class BloomMap:
         """
         if not self.bits.frozen:
             raise ValueError("freeze the map before querying")
+        import numpy as np
+
         keys = _as_keys(list(keys))
         found = np.full(len(keys), -1, dtype=np.int64)
         probes = np.zeros(len(keys), dtype=np.int64)
@@ -389,6 +408,7 @@ class BloomMap:
         h1, h2 = self.family.digest_batch(keys)
         # read whatever bit array the map holds now; keep no view of it
         bits = np.frombuffer(self.bits._buf, dtype=np.uint8)
+        weight = np.array([1 << s for s in range(8)], dtype=np.uint8)  # of bit p: weight[p & 7]
         m = np.uint64(self.m)
         hash_at = self.family._hash_at  # the table's j lie in 1..k by construction
         live = np.arange(len(keys))
@@ -399,7 +419,7 @@ class BloomMap:
             pos = hash_at(table.j[d], h1, h2)
             pos += table.offset[d]
             pos = np.minimum(pos, pos - m)  # (h + offset) % m, both below m
-            d = table.nxt[2 * d + ((bits[pos >> 3] & _BIT[pos & 7]) != 0)]
+            d = table.nxt[2 * d + ((bits[pos >> 3] & weight[pos & 7]) != 0)]
             done = d < 0
             if done.any():
                 ended = live[done]
@@ -410,35 +430,69 @@ class BloomMap:
         return found, probes
 
 
-_BIT = np.array([1 << s for s in range(8)], dtype=np.uint8)  # bit p's weight in its byte
-
-
 class _ProbeTable:
     """A plan compiled for one m, one entry per probe (row, hash index j) in
     plan order.  Entry d reads bit (base_hash(j[d], key) + offset[d]) % m,
     offset[d] being its row's offset % m; a walk reads nxt[2 d + bit] next,
     and a write up[d].  Within a row both are d + 1; at its end, the first
     entry of on_pass, on_fail or up, or a terminal -2 - answer (-1: absent).
-    Queries start at top, the plan's last root, and value i's writes at leaf[i];
-    lists holds (j, offset, nxt) as Python lists once query has made them.
+    Queries start at top, the plan's last root, and value i's writes at leaf[i].
+
+    The compile makes each column a Python list, which the scalar walk
+    indexes faster than an array, with a few list operations per row, not
+    a step per entry; entries that hold the same value share one int object.  j, offset, nxt, up and
+    leaf are the lists as numpy arrays, made when a batch path first reads them.
     """
 
     def __init__(self, rows, m: int):
-        first, last, offset, low, on_pass, on_fail, up = np.array(rows, dtype=np.int64).T
-        k = last - first + 1
-        start = np.cumsum(k) - k  # each row's first entry
-        row = np.repeat(np.arange(len(k)), k)
-        d = np.arange(len(row)) + 1  # the next entry in the same row
-        self.j = (first[row] + d - 1 - start[row]).astype(np.uint64)
-        self.offset = (offset % m).astype(np.uint64)[row]
-        at_end = d == (start + k)[row]
-        on_set = np.where(on_pass >= 0, start[on_pass], -2 - low)[row]
-        # a zero bit with no row left happens only at value 0: absent
-        on_zero = np.where(on_fail >= 0, start[on_fail], -1)[row]
-        self.nxt = np.stack([on_zero, np.where(at_end, on_set, d)], axis=1).ravel()
-        self.up = np.where(at_end, np.where(up >= 0, start[up], -1)[row], d)
-        self.leaf = start[on_pass < 0]
-        self.top, self.m, self.lists = int(start[np.flatnonzero(up < 0)[-1]]), m, None
+        starts = list(accumulate((row[1] - row[0] + 1 for row in rows), initial=0))
+        index = list(range(max(row[1] for row in rows) + 1))  # one int object per j
+        # within a row a set bit and a write both go to the next entry
+        on_set = list(range(1, starts[-1] + 1))
+        ups = on_set.copy()
+        js, offsets, on_zero, leaves = [], [], [], []
+        for r, (first, last, offset, low, on_pass, on_fail, up) in enumerate(rows):
+            k, end = last - first + 1, starts[r + 1]
+            js += index[first : last + 1]
+            offsets += [offset % m] * k
+            # a zero bit with no row left happens only at value 0: absent
+            on_zero += [starts[on_fail] if on_fail >= 0 else -1] * k
+            on_set[end - 1] = starts[on_pass] if on_pass >= 0 else -2 - low
+            ups[end - 1] = starts[up] if up >= 0 else -1
+            if on_pass < 0:
+                leaves.append(starts[r])
+            if up < 0:
+                self.top = starts[r]
+        nxt = [0] * (2 * len(js))
+        nxt[0::2], nxt[1::2] = on_zero, on_set
+        self.j_list, self.offset_list, self.nxt_list = js, offsets, nxt
+        self.up_list, self.leaf_list, self.m = ups, leaves, m
+
+    @cached_property
+    def j(self) -> np.ndarray:
+        return _array(self.j_list, "uint64")
+
+    @cached_property
+    def offset(self) -> np.ndarray:
+        return _array(self.offset_list, "uint64")
+
+    @cached_property
+    def nxt(self) -> np.ndarray:
+        return _array(self.nxt_list, "int64")
+
+    @cached_property
+    def up(self) -> np.ndarray:
+        return _array(self.up_list, "int64")
+
+    @cached_property
+    def leaf(self) -> np.ndarray:
+        return _array(self.leaf_list, "int64")
+
+
+def _array(values: list[int], dtype: str) -> np.ndarray:
+    import numpy as np
+
+    return np.array(values, dtype=dtype)
 
 
 # -- builders ---------------------------------------------------------
@@ -458,6 +512,8 @@ def _tally(pairs, dist: ValueDistribution, seed: int):
     dropped, a key repeated with another value raises DuplicateKey, and
     distinct keys with equal digests are both kept.
     """
+    import numpy as np
+
     digest = HashFamily(seed, 1, 0).digest_batch  # a digest reads only the seed
     pairs = iter(pairs)
     keys: list[bytes] = []
@@ -485,6 +541,8 @@ def _tally(pairs, dist: ValueDistribution, seed: int):
 def _repeats(keys, h1: np.ndarray, values: np.ndarray) -> list[int]:
     """Positions of the pairs that repeat an earlier pair; raises
     DuplicateKey, in input order, at a key repeated with another value."""
+    import numpy as np
+
     ordered = np.sort(h1)
     shared = ordered[1:][ordered[1:] == ordered[:-1]]
     if not shared.size:

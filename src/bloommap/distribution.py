@@ -15,11 +15,12 @@ from dataclasses import dataclass
 from functools import cached_property
 from itertools import repeat
 from pathlib import Path
-from typing import Iterable, Sequence
-
-import numpy as np
+from typing import TYPE_CHECKING, Sequence
 
 from .errors import InvalidDistribution, UnknownValue
+
+if TYPE_CHECKING:
+    import numpy as np
 
 __all__ = [
     "ValueDistribution",
@@ -93,6 +94,8 @@ class ValueDistribution:
         (str labels, and labels outside the distribution, which raise
         UnknownValue) go through index_of.
         """
+        import numpy as np
+
         out = np.fromiter(map(self._index.get, labels, repeat(-1)), dtype=np.int64,
                           count=len(labels))
         for pos in np.flatnonzero(out < 0).tolist():

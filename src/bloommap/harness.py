@@ -12,8 +12,6 @@ import math
 import random
 from dataclasses import dataclass
 
-import numpy as np
-
 from .core import BloomMap, build_tree
 from .distribution import ValueDistribution, integer_counts
 
@@ -128,6 +126,8 @@ def measure(bmap: BloomMap, pairs, neg_samples: int, seed: int) -> ErrorReport:
     """
     if neg_samples < 1000:
         raise ValueError(f"need at least 1000 negative samples, got {neg_samples}")
+    import numpy as np
+
     b = bmap.b
     keys = [key for key, _ in pairs]
     truth = bmap.dist.indices_of([label for _, label in pairs])

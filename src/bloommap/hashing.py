@@ -11,12 +11,18 @@ map probing t positions per key pays for one key hash, not t.
 
 A numpy batch path digests a list of keys of any lengths at once, one
 pass per 8-byte word count, and agrees bit for bit with the scalar path
-for every range size m, including m >= 2**32.
+for every range size m, including m >= 2**32.  Only that path imports
+numpy, on its first call, so a one-shot scalar lookup never loads it.
 """
 
 from __future__ import annotations
 
-import numpy as np
+from functools import cache
+from types import SimpleNamespace
+from typing import TYPE_CHECKING
+
+if TYPE_CHECKING:
+    import numpy as np
 
 __all__ = ["HashFamily", "keyed_hash64", "step_of"]
 
@@ -46,27 +52,32 @@ def keyed_hash64(seed: int, key: bytes) -> int:
     return h
 
 
-# numpy mirrors of the scalar pipeline; all operands stay uint64 so
-# multiplication wraps mod 2**64 exactly like the masked scalar code
-_NP_MULT1 = np.uint64(_MULT1)
-_NP_MULT2 = np.uint64(_MULT2)
-_S30, _S27, _S31, _S32 = (np.uint64(s) for s in (30, 27, 31, 32))
-_LO32 = np.uint64(0xFFFFFFFF)
-_ONE = np.uint64(1)
-_NP_GOLD = np.uint64(_GOLD)
+@cache
+def _u64() -> SimpleNamespace:
+    """The batch path's operands as numpy uint64 scalars, made on its
+    first call.  Every operand stays uint64, so multiplication wraps mod
+    2**64 exactly like the masked scalar code; numpy also applies a
+    Python int operand more slowly, by about 0.2 us an operation."""
+    import numpy as np
+
+    u64 = np.uint64
+    return SimpleNamespace(u64=u64, gold=u64(_GOLD), mult1=u64(_MULT1), mult2=u64(_MULT2),
+                           s27=u64(27), s30=u64(30), s31=u64(31), s32=u64(32),
+                           lo32=u64(0xFFFFFFFF), one=u64(1))
 
 
 def _fmix64_np(z):
-    z = z ^ (z >> _S30)
-    z = z * _NP_MULT1
-    z = z ^ (z >> _S27)
-    z = z * _NP_MULT2
-    return z ^ (z >> _S31)
+    c = _u64()
+    z = z ^ (z >> c.s30)
+    z = z * c.mult1
+    z = z ^ (z >> c.s27)
+    z = z * c.mult2
+    return z ^ (z >> c.s31)
 
 
 def step_of(h1: np.ndarray) -> np.ndarray:
     """The odd step h2 = fmix64(h1) | 1 of every digest h1."""
-    return _fmix64_np(h1) | _ONE
+    return _fmix64_np(h1) | _u64().one
 
 
 def _reduce_np(h: np.ndarray, m: int) -> np.ndarray:
@@ -75,19 +86,21 @@ def _reduce_np(h: np.ndarray, m: int) -> np.ndarray:
     # Above, it is summed from the four 32 x 32 -> 64 bit partial products of
     # h and m, no sum exceeding 2**64 - 1, with in-place updates that keep
     # the many small batches of a build cheap.
+    c = _u64()
+    s32, lo32 = c.s32, c.lo32
     if m < 1 << 32:
-        m = np.uint64(m)
-        return ((h >> _S32) * m + ((h & _LO32) * m >> _S32)) >> _S32
-    m_hi, m_lo = np.uint64(m >> 32), np.uint64(m & 0xFFFFFFFF)
-    h_hi, h_lo = h >> _S32, h & _LO32
+        m = c.u64(m)
+        return ((h >> s32) * m + ((h & lo32) * m >> s32)) >> s32
+    m_hi, m_lo = c.u64(m >> 32), c.u64(m & 0xFFFFFFFF)
+    h_hi, h_lo = h >> s32, h & lo32
     cross = h_hi * m_lo
     mid = h_lo * m_lo
-    mid >>= _S32
-    mid += cross & _LO32
+    mid >>= s32
+    mid += cross & lo32
     h_lo *= m_hi
     mid += h_lo
-    mid >>= _S32
-    cross >>= _S32
+    mid >>= s32
+    cross >>= s32
     cross += mid
     h_hi *= m_hi
     h_hi += cross
@@ -138,8 +151,10 @@ class HashFamily:
         array; every key's chain starts from its own length, as in
         keyed_hash64, so one group serves keys of up to eight lengths.
         """
+        import numpy as np
+
         lengths = np.fromiter(map(len, keys), dtype=np.int64, count=len(keys))
-        h1 = _fmix64_np(lengths.view(np.uint64) * _NP_GOLD ^ np.uint64(self.master_seed))
+        h1 = _fmix64_np(lengths.view(np.uint64) * _u64().gold ^ np.uint64(self.master_seed))
         words = (lengths + 7) >> 3
         sizes = np.bincount(words, minlength=1)
         sizes[0] = 0  # an empty key absorbs no word
@@ -162,13 +177,16 @@ class HashFamily:
         j is one index for every key, or an integer array holding each
         key's own index.
         """
+        import numpy as np
+
         if isinstance(j, np.ndarray):
             if j.size and not (1 <= j.min() and j.max() <= self.k):
                 raise IndexError(f"hash indices {j.min()}..{j.max()} outside 1..{self.k}")
         elif not 1 <= j <= self.k:
             raise IndexError(f"hash index {j} outside 1..{self.k}")
-        return self._hash_at(j, h1, h2)
+        return self._hash_at(np.asarray(j, dtype=np.uint64), h1, h2)
 
-    def _hash_at(self, j, h1: np.ndarray, h2: np.ndarray) -> np.ndarray:
-        """base_hash_batch without its range check, for j known to lie in 1..k."""
-        return _reduce_np(h1 + np.asarray(j, dtype=np.uint64) * h2, self.m)
+    def _hash_at(self, j: np.ndarray, h1: np.ndarray, h2: np.ndarray) -> np.ndarray:
+        """base_hash_batch without its range check or conversion, for a
+        uint64 array j known to lie in 1..k."""
+        return _reduce_np(h1 + j * h2, self.m)

@@ -85,7 +85,7 @@ def save(bmap: BloomMap, sink) -> None:
         except OSError as exc:
             raise IoError(f"cannot write {sink}: {exc}") from exc
         return
-    buf = io.BytesIO()
+    buf = io.BytesIO()  # everything before the bit array
     buf.write(_FIXED.pack(
         MAGIC, VERSION, _VARIANT_CODES[bmap.variant], HASH_ALGO, 0,
         bmap.m, bmap.n, bmap.b, bmap.epsilon, bmap.family.master_seed,
@@ -100,11 +100,12 @@ def save(bmap: BloomMap, sink) -> None:
     if bmap.variant == "custom":
         ks = [node.k for node in bmap.tree.nodes]
         buf.write(struct.pack(f"<{len(ks)}I", *ks))
-    buf.write(bmap.bits.to_bytes())
-    payload = buf.getvalue()
+    head = buf.getvalue()
     try:
-        sink.write(payload)
-        sink.write(_CRC.pack(zlib.crc32(payload)))
+        with memoryview(bmap.bits._buf) as bits:  # written and checksummed in place
+            sink.write(head)
+            sink.write(bits)
+            sink.write(_CRC.pack(zlib.crc32(bits, zlib.crc32(head))))
     except OSError as exc:
         raise IoError(f"write failed: {exc}") from exc
 
@@ -112,18 +113,39 @@ def save(bmap: BloomMap, sink) -> None:
 # -- reading ----------------------------------------------------------
 
 
+def _read_all(source) -> bytearray:
+    """The rest of a binary stream as one bytearray.  A stream that can
+    tell its length is read into place, so its bytes are copied once; the
+    length comes from the stream, never from a header field."""
+    data = bytearray()
+    if source.seekable():
+        here = source.tell()
+        data = bytearray(source.seek(0, io.SEEK_END) - here)
+        source.seek(here)
+        got = 0
+        with memoryview(data) as view:
+            while got < len(data) and (count := source.readinto(view[got:])):
+                got += count
+        del data[got:]
+    data += source.read()  # all of a stream of unknown length, else what it grew by
+    return data
+
+
 class _Reader:
     def __init__(self, data):
         self.data = data
         self.pos = 0
 
+    def skip(self, n: int, what: str) -> int:
+        """Step over the next n bytes; returns where they start."""
+        start = self.pos
+        if start + n > len(self.data):
+            raise FormatError(f"{what}: file truncated at byte {start}")
+        self.pos = start + n
+        return start
+
     def take(self, n: int, what: str):
-        end = self.pos + n
-        if end > len(self.data):
-            raise FormatError(f"{what}: file truncated at byte {self.pos}")
-        chunk = self.data[self.pos : end]
-        self.pos = end
-        return chunk
+        return self.data[self.skip(n, what) : self.pos]
 
     def unpack(self, fmt: str, what: str):
         s = struct.Struct(fmt)
@@ -159,19 +181,19 @@ def load(source) -> BloomMap:
         except OSError as exc:
             raise IoError(f"cannot read {source}: {exc}") from exc
     try:
-        data = source.read()
+        data = _read_all(source)
     except OSError as exc:
         raise IoError(f"read failed: {exc}") from exc
     if len(data) < _CRC.size:
         raise FormatError("checksum: file shorter than its own checksum")
-    payload = memoryview(data)[: -_CRC.size]
-    (stated,) = _CRC.unpack(data[-_CRC.size :])
-    actual = zlib.crc32(payload)
+    (stated,) = _CRC.unpack_from(data, len(data) - _CRC.size)
+    del data[-_CRC.size :]  # data is now the payload
+    actual = zlib.crc32(data)
     if stated != actual:
         raise FormatError(
             f"checksum: stored {stated:#010x} but payload hashes to {actual:#010x}"
         )
-    reader = _Reader(payload)
+    reader = _Reader(data)
     magic, version, variant_code, hash_algo, _reserved, m, n, b, epsilon, seed, plan = (
         reader.unpack(_FIXED.format, "header")
     )
@@ -196,12 +218,12 @@ def load(source) -> BloomMap:
         nodes = 2 * b - 1
         custom = struct.unpack(f"<{nodes}I", reader.take(4 * nodes, "custom hash counts"))
     nbytes = (m + 7) // 8
-    bit_data = reader.take(nbytes, "bit array")
+    start = reader.skip(nbytes, "bit array")
     # bits m .. 8 nbytes - 1 pad the last byte above its low m % 8 bits
-    if bit_data[-1] >> (m % 8 or 8):
+    if data[reader.pos - 1] >> (m % 8 or 8):
         raise FormatError(f"bit array: bits set at positions >= m={m}")
-    if reader.pos != len(payload):
-        raise FormatError(f"trailing data: {len(payload) - reader.pos} unexpected bytes")
+    if reader.pos != len(data):
+        raise FormatError(f"trailing data: {len(data) - reader.pos} unexpected bytes")
     tree = simple_ks = None
     if variant == "simple":
         simple_ks = simple_hash_counts(dist, epsilon)
@@ -210,11 +232,10 @@ def load(source) -> BloomMap:
             tree = codetree.plan_tree(dist, epsilon, variant, custom)
         except InvalidScheme as exc:
             raise FormatError(f"custom hash counts: {exc}") from exc
-    bits = BitArray(m, data=bit_data)
-    bits.freeze()
+    del data[:start]  # cuts the front off in place: data is now the bit array
     bmap = BloomMap(
         variant=variant, dist=dist, epsilon=epsilon, seed=seed,
-        bits=bits, tree=tree, simple_ks=simple_ks, n=n,
+        bits=BitArray._frozen_over(m, data), tree=tree, simple_ks=simple_ks, n=n,
     )
     recomputed = _plan_digest(bmap)
     if recomputed != plan:
