@@ -14,22 +14,12 @@ makes both space and probe counts track the distribution's entropy.
 """
 
 from .bounds import (
-    BoundReport,
     lb_false_positive_only,
     lb_general,
     lb_symmetric,
     space_report,
 )
-from .codetree import (
-    CodeTree,
-    Geometry,
-    assign_hash_counts,
-    assign_offsets,
-    build_alphabetic_tree,
-    certify_error_bounds,
-    compute_geometry,
-    tree_property_report,
-)
+from .codetree import build_alphabetic_tree
 from .core import (
     BitArray,
     BloomMap,
@@ -58,13 +48,7 @@ from .errors import (
     IoError,
     UnknownValue,
 )
-from .harness import (
-    ErrorReport,
-    PMapSpec,
-    build_with_discard,
-    generate_pmap,
-    measure,
-)
+from .harness import measure
 from .hashing import HashFamily
 from .mapfile import load, save
 
@@ -74,32 +58,21 @@ __all__ = [
     "BitArray",
     "BloomMap",
     "BloomMapError",
-    "BoundReport",
-    "CodeTree",
     "DuplicateKey",
-    "ErrorReport",
     "FormatError",
     "FrozenError",
-    "Geometry",
     "HashFamily",
     "InvalidDistribution",
     "InvalidEpsilon",
     "InvalidScheme",
     "IoError",
-    "PMapSpec",
     "QueryOutcome",
     "UnknownValue",
     "ValueDistribution",
-    "assign_hash_counts",
-    "assign_offsets",
     "build_alphabetic_tree",
     "build_simple",
     "build_tree",
-    "build_with_discard",
-    "certify_error_bounds",
-    "compute_geometry",
     "entropy",
-    "generate_pmap",
     "integer_counts",
     "lb_false_positive_only",
     "lb_general",
@@ -111,7 +84,6 @@ __all__ = [
     "plan_tree_map",
     "save",
     "space_report",
-    "tree_property_report",
     "uniform_distribution",
     "zero_fraction",
 ]

@@ -474,8 +474,8 @@ class Geometry:
 
 
 def compute_geometry(tree: CodeTree, counts, epsilon: float) -> Geometry:
-    """Size a tree map's bit array by size_bit_array, with the path
-    weights t_i that plan_bounds reads off the tree's rows."""
+    """m for a tree and key counts, with its path weights t: the
+    size_bit_array rule that BloomMap._size_for applies to a map's plan."""
     _check_epsilon(epsilon)
     t = plan_bounds(_tree_rows(tree))[2]
     return Geometry(m=size_bit_array(counts, t), t=t)

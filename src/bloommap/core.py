@@ -20,9 +20,11 @@ records pairs in a dict and freeze() digests them a chunk at a time; the
 batch builders hold no per-key dict: they read the pairs CHUNK at a time,
 digest each chunk once, one pass per 8-byte word count, and dedupe by
 sorting the 64-bit h1 digests, comparing key bytes only where digests
-are equal.  Both layouts are planned by plan_tree_map and sized by one
-rule, m = ceil(log2(e) * sum_i count_i * t_i), which both build paths
-apply to the tallies of the pairs they write.
+are equal.  A map plans itself from its variant, whether built, planned
+by plan_tree_map or loaded, and one step, BloomMap._size_for, sizes
+both layouts by one rule, m = ceil(log2(e) * sum_i count_i * t_i), from
+the tallies plan_tree_map is given or, at freeze(), those of the pairs
+written.
 
 Only the batch code imports numpy, on its first call: loading a map,
 a scalar query and describe() run on the standard library alone.
@@ -202,10 +204,12 @@ class BloomMap:
     """One bit array plus the recipe for reading and writing it.
 
     variant is "simple" for the flat layout or the tree scheme name
-    ("standard", "fast", "custom").  plan_tree_map creates an empty map of
-    either layout; store() records pairs and freeze() writes them all and
-    stops accepting writes.  Frozen maps never mutate and may be queried
-    from any number of threads.
+    ("standard", "fast", "custom", which takes its per-node counts as
+    custom); the map plans itself from it, its distribution and epsilon,
+    raising InvalidScheme for counts that do not certify.  plan_tree_map
+    creates an empty map of either layout; store() records pairs and
+    freeze() writes them all and stops accepting writes.  Frozen maps
+    never mutate and may be queried from any number of threads.
 
     _plan, O(b) rows (first, last, offset, low, on_pass, on_fail, up),
     one per tree node in preorder or per flat block, is the single
@@ -220,21 +224,25 @@ class BloomMap:
     low - 1's path leaves the rows known set (-1 when low is 0).  Sizing,
     the bounds and the file digest read it; writing and both query forms
     step through its _ProbeTable for the map's m, compiled on first use.
-    A tree map takes the rows its tree's certification left (tree.rows),
-    so a load builds them once.
+    The flat rows come from simple_ks; a tree map takes the rows its
+    tree's certification left (tree.rows), so a load builds them once.
     """
 
     def __init__(self, *, variant: str, dist: ValueDistribution, epsilon: float,
-                 seed: int, bits: BitArray, tree=None,
-                 simple_ks: tuple[int, ...] | None = None, n: int = 0):
+                 seed: int, bits: BitArray, n: int = 0, custom=None):
         self.variant = variant
         self.dist = dist
         self.epsilon = epsilon
         self.bits = bits
-        self.tree = tree
-        self.simple_ks = simple_ks
         self.n = n
-        self._plan = rows = tree.rows if tree is not None else _flat_rows(simple_ks)
+        self.tree = self.simple_ks = None
+        if variant == "simple":
+            self.simple_ks = simple_hash_counts(dist, epsilon)
+            rows = _flat_rows(self.simple_ks)
+        else:
+            self.tree = codetree.plan_tree(dist, epsilon, variant, custom)
+            rows = self.tree.rows
+        self._plan = rows
         self._probes: _ProbeTable | None = None  # compiled from _plan on first use
         self.family = HashFamily(seed, bits.m, max(row[1] for row in rows))
         self._pending: dict[bytes, int] | None = None if bits.frozen else {}
@@ -306,9 +314,9 @@ class BloomMap:
 
     def freeze(self) -> None:
         """Write every recorded pair and stop accepting writes; records the
-        stored key count.  A map with pairs recorded is sized again by
-        codetree.size_bit_array from their tallies, as the batch builders
-        size theirs; one with none keeps the m it was planned with."""
+        stored key count.  A map with pairs recorded is sized again from
+        their tallies, as the batch builders size theirs; one with none
+        keeps the m it was planned with."""
         pending = self._pending
         if pending:
             import numpy as np
@@ -317,10 +325,7 @@ class BloomMap:
             values = iter(pending.values())
             for _ in range(0, len(pending), CHUNK):
                 tallies += np.bincount(np.fromiter(islice(values, CHUNK), np.int64), minlength=self.b)
-            m = codetree.size_bit_array(tallies.tolist(), codetree.plan_bounds(self._plan)[2])
-            if m != self.m:
-                self.bits = BitArray(m)
-                self.family = HashFamily(self.family.master_seed, m, self.family.k)
+            self._size_for(tallies.tolist())
             keys, values = iter(pending), iter(pending.values())
             while part := list(islice(keys, CHUNK)):
                 self._write(*self.family.digest_batch(part),
@@ -328,6 +333,14 @@ class BloomMap:
             self.n = len(pending)
         self._pending = None
         self.bits.freeze()
+
+    def _size_for(self, tallies) -> None:
+        """Give the map an empty bit array, and its hash family the same m,
+        sized by codetree.size_bit_array for per-value key tallies and the
+        plan's path weights: the one sizing step of every build path."""
+        m = codetree.size_bit_array(tallies, codetree.plan_bounds(self._plan)[2])
+        self.bits = BitArray(m)
+        self.family = HashFamily(self.family.master_seed, m, self.family.k)
 
     def _table(self) -> _ProbeTable:
         """The probe table for the map's m, compiled on first use, as freeze()
@@ -576,28 +589,17 @@ def plan_tree_map(dist: ValueDistribution, epsilon: float, seed: int,
 
     scheme is "simple" for the flat layout or a tree scheme name.  Pass
     either n (apportioned across values by the distribution) or an
-    explicit per-value counts tuple.  The hash counts come from
-    simple_hash_counts or codetree.plan_tree, as they do on load, and
-    both layouts are sized by codetree.size_bit_array.  The caller then
-    store()s pairs and freeze()s the map, which sizes it again from the
-    tallies of the pairs stored.
+    explicit per-value counts tuple.  The map plans itself, as it does on
+    load, and is sized by BloomMap._size_for.  The caller then store()s
+    pairs and freeze()s the map, which sizes it again from the tallies of
+    the pairs stored.
     """
-    _check_epsilon(epsilon)
     if (n is None) == (counts is None):
         raise ValueError("pass exactly one of n or counts")
-    if counts is None:
-        counts = integer_counts(dist, n)
-    tree = simple_ks = None
-    if scheme == "simple":
-        simple_ks = simple_hash_counts(dist, epsilon)
-        m = codetree.size_bit_array(counts, simple_ks)
-    else:
-        tree = codetree.plan_tree(dist, epsilon, scheme, custom=custom)
-        m = codetree.compute_geometry(tree, counts, epsilon).m
-    return BloomMap(
-        variant=scheme, dist=dist, epsilon=epsilon, seed=seed,
-        bits=BitArray(m), tree=tree, simple_ks=simple_ks,
-    )
+    bmap = BloomMap(variant=scheme, dist=dist, epsilon=epsilon, seed=seed,
+                    bits=BitArray(1), custom=custom)  # sized for the counts below
+    bmap._size_for(integer_counts(dist, n) if counts is None else counts)
+    return bmap
 
 
 def build_tree(pairs, dist: ValueDistribution, epsilon: float, seed: int,

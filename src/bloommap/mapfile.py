@@ -15,9 +15,9 @@ Layout, version 2 (all integers little-endian):
                the padding bits m .. 8 ceil(m / 8) - 1 are zero
     checksum u32: CRC-32 (zlib.crc32) over every preceding byte
 
-Simple, standard and fast files state no hash count: load derives them
-from (distribution, epsilon, variant) with simple_hash_counts or
-codetree.plan_tree.  Custom counts are certified again for the file's
+Simple, standard and fast files state no hash count: the loaded map
+plans itself from (distribution, epsilon, variant), as a built one
+does.  Custom counts are certified again for the file's
 epsilon and must need no bump.  plan is a CRC-32 of the probe plan
 (BloomMap._plan) the map was saved with, taken over the segments each
 value adds to its predecessor's path; load rejects a file whose
@@ -38,8 +38,7 @@ import sys
 import zlib
 from pathlib import Path
 
-from . import codetree
-from .core import BitArray, BloomMap, simple_hash_counts
+from .core import BitArray, BloomMap
 from .distribution import ValueDistribution
 from .errors import FormatError, InvalidDistribution, InvalidScheme, IoError
 
@@ -53,6 +52,8 @@ _VARIANT_CODES = {"simple": 0, "standard": 1, "fast": 2, "custom": 3}
 _VARIANT_NAMES = {code: name for name, code in _VARIANT_CODES.items()}
 
 _FIXED = struct.Struct("<4sBBBBQQIdQI")
+_LABEL_LEN = struct.Struct("<H")
+_PROB = struct.Struct("<d")
 _CRC = struct.Struct("<I")
 
 
@@ -75,17 +76,24 @@ def _plan_digest(bmap: BloomMap) -> int:
 
 
 def save(bmap: BloomMap, sink) -> None:
-    """Serialize a frozen map to a path or binary stream."""
+    """Serialize a frozen map to a path or binary stream.  A map the
+    format cannot hold raises before anything is opened or written."""
     if not bmap.frozen:
         raise ValueError("freeze the map before saving")
+    head = _head(bmap)
     if isinstance(sink, (str, Path)):
         try:
             with open(sink, "wb") as fh:
-                save(bmap, fh)
+                _write(fh, head, bmap)
         except OSError as exc:
             raise IoError(f"cannot write {sink}: {exc}") from exc
         return
-    buf = io.BytesIO()  # everything before the bit array
+    _write(sink, head, bmap)
+
+
+def _head(bmap: BloomMap) -> bytes:
+    """Everything a file holds before the bit array."""
+    buf = io.BytesIO()
     buf.write(_FIXED.pack(
         MAGIC, VERSION, _VARIANT_CODES[bmap.variant], HASH_ALGO, 0,
         bmap.m, bmap.n, bmap.b, bmap.epsilon, bmap.family.master_seed,
@@ -94,13 +102,16 @@ def save(bmap: BloomMap, sink) -> None:
     for label, prob in zip(bmap.dist.labels, bmap.dist.probs):
         if len(label) > 0xFFFF:
             raise ValueError(f"label of {len(label)} bytes does not fit the format")
-        buf.write(struct.pack("<H", len(label)))
+        buf.write(_LABEL_LEN.pack(len(label)))
         buf.write(label)
-        buf.write(struct.pack("<d", prob))
+        buf.write(_PROB.pack(prob))
     if bmap.variant == "custom":
         ks = [node.k for node in bmap.tree.nodes]
         buf.write(struct.pack(f"<{len(ks)}I", *ks))
-    head = buf.getvalue()
+    return buf.getvalue()
+
+
+def _write(sink, head: bytes, bmap: BloomMap) -> None:
     try:
         with memoryview(bmap.bits._buf) as bits:  # written and checksummed in place
             sink.write(head)
@@ -147,19 +158,18 @@ class _Reader:
     def take(self, n: int, what: str):
         return self.data[self.skip(n, what) : self.pos]
 
-    def unpack(self, fmt: str, what: str):
-        s = struct.Struct(fmt)
-        return s.unpack(self.take(s.size, what))
-
 
 def _parse_distribution(reader: _Reader, b: int) -> ValueDistribution:
+    data, skip = reader.data, reader.skip
     labels = []
     probs = []
-    for i in range(b):
-        (length,) = reader.unpack("<H", f"distribution[{i}] label length")
-        labels.append(bytes(reader.take(length, f"distribution[{i}] label")))
-        (prob,) = reader.unpack("<d", f"distribution[{i}] probability")
-        probs.append(prob)
+    try:  # a field is named by its value's index only when it is cut short
+        for i in range(b):
+            (length,) = _LABEL_LEN.unpack_from(data, skip(2, "label length"))
+            labels.append(bytes(reader.take(length, "label")))
+            probs.append(_PROB.unpack_from(data, skip(8, "probability"))[0])
+    except FormatError as exc:
+        raise FormatError(f"distribution[{i}] {exc}") from None
     try:
         return ValueDistribution(probs=tuple(probs), labels=tuple(labels))
     except InvalidDistribution as exc:
@@ -195,7 +205,7 @@ def load(source) -> BloomMap:
         )
     reader = _Reader(data)
     magic, version, variant_code, hash_algo, _reserved, m, n, b, epsilon, seed, plan = (
-        reader.unpack(_FIXED.format, "header")
+        _FIXED.unpack_from(data, reader.skip(_FIXED.size, "header"))
     )
     if magic != MAGIC:
         raise FormatError(f"magic: expected {MAGIC!r}, found {magic!r}")
@@ -224,19 +234,12 @@ def load(source) -> BloomMap:
         raise FormatError(f"bit array: bits set at positions >= m={m}")
     if reader.pos != len(data):
         raise FormatError(f"trailing data: {len(data) - reader.pos} unexpected bytes")
-    tree = simple_ks = None
-    if variant == "simple":
-        simple_ks = simple_hash_counts(dist, epsilon)
-    else:
-        try:
-            tree = codetree.plan_tree(dist, epsilon, variant, custom)
-        except InvalidScheme as exc:
-            raise FormatError(f"custom hash counts: {exc}") from exc
     del data[:start]  # cuts the front off in place: data is now the bit array
-    bmap = BloomMap(
-        variant=variant, dist=dist, epsilon=epsilon, seed=seed,
-        bits=BitArray._frozen_over(m, data), tree=tree, simple_ks=simple_ks, n=n,
-    )
+    try:
+        bmap = BloomMap(variant=variant, dist=dist, epsilon=epsilon, seed=seed,
+                        bits=BitArray._frozen_over(m, data), n=n, custom=custom)
+    except InvalidScheme as exc:
+        raise FormatError(f"custom hash counts: {exc}") from exc
     recomputed = _plan_digest(bmap)
     if recomputed != plan:
         raise FormatError(

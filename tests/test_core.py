@@ -8,6 +8,7 @@ scalar one.
 
 import copy
 import dataclasses
+import io
 import itertools
 import math
 import random
@@ -39,6 +40,7 @@ from bloommap.codetree import (
     assign_hash_counts,
     assign_offsets,
     build_alphabetic_tree,
+    size_bit_array,
 )
 from bloommap.core import CHUNK, BitArray, _tally, simple_analytic_bounds, simple_hash_counts
 from bloommap.harness import PMapSpec, build_variant, generate_pmap
@@ -47,6 +49,7 @@ from bloommap.hashing import HashFamily
 LOG2E = math.log2(math.e)
 
 SKEW = new_distribution([0.5, 0.25, 0.125, 0.125], ["a", "b", "c", "d"])
+ONE = new_distribution([3], ["only"])
 
 
 # -- bit array --------------------------------------------------------
@@ -391,21 +394,42 @@ def test_batch_store_matches_scalar_store():
         assert built.bits.to_bytes() == stored.bits.to_bytes() == want
 
 
-@pytest.mark.parametrize("scheme", ["simple", "standard", "fast"])
+@pytest.mark.parametrize("scheme", ["simple", "standard", "fast", "custom"])
 def test_incremental_map_is_sized_from_what_it_stores(scheme):
     # planned for a/b/c/d but stored 1/4 a and 3/4 d: sized from the stated
-    # distribution, the array would fill past half and break epsilon
+    # distribution, the array would fill past half and break epsilon.  On
+    # it and on one value, the batch build, plan + store + freeze and a
+    # load of either save the same file.
     rnd = random.Random(21)
     keys = list(dict.fromkeys(rnd.randbytes(16) for _ in range(40_000)))
-    pairs = [(key, "a" if i % 4 == 0 else "d") for i, key in enumerate(keys)]
-    stored = plan_tree_map(SKEW, 2 ** -7, seed=5, scheme=scheme, n=len(pairs))
-    for key, label in pairs:
-        stored.store(key, SKEW.index_of(label))
-    stored.freeze()
-    built = build_tree(pairs, SKEW, 2 ** -7, seed=5, scheme=scheme)
-    assert (stored.m, stored.n) == (built.m, built.n)
-    assert stored.bits.to_bytes() == built.bits.to_bytes()
-    assert abs(stored.bits.zero_fraction() - 0.5) < 0.005
+    for dist, labels in ((SKEW, ["a", "d", "d", "d"]), (ONE, ["only"])):
+        pairs = [(key, labels[i % len(labels)]) for i, key in enumerate(keys)]
+        custom = _custom_counts(dist, 2 ** -7, random.Random(4)) if scheme == "custom" else None
+        stored = plan_tree_map(dist, 2 ** -7, seed=5, scheme=scheme, n=len(pairs), custom=custom)
+        for key, label in pairs:
+            stored.store(key, dist.index_of(label))
+        stored.freeze()
+        built = build_tree(pairs, dist, 2 ** -7, seed=5, scheme=scheme, custom=custom)
+        files = [_saved(stored), _saved(built)]
+        files.append(_saved(load(io.BytesIO(files[0]))))
+        assert files[0] == files[1] == files[2]
+        assert (stored.m, stored.n) == (built.m, built.n)
+        assert abs(stored.bits.zero_fraction() - 0.5) < 0.005
+
+
+@pytest.mark.parametrize("scheme", ["simple", "standard", "fast", "custom"])
+def test_planned_maps_are_sized_by_their_path_weights(scheme):
+    deep = new_distribution([0.9 ** i for i in range(40)], [f"v{i}" for i in range(40)])
+    for dist, counts in ((SKEW, (5, 0, 0, 70)), (deep, tuple(range(40))), (ONE, (9,))):
+        custom = _custom_counts(dist, 2 ** -7, random.Random(2)) if scheme == "custom" else None
+        bmap = plan_tree_map(dist, 2 ** -7, seed=1, scheme=scheme, counts=counts, custom=custom)
+        assert bmap.m == size_bit_array(counts, bmap.describe()["path_weights"])
+
+
+def _saved(bmap) -> bytes:
+    sink = io.BytesIO()
+    save(bmap, sink)
+    return sink.getvalue()
 
 
 @settings(max_examples=80, deadline=None)

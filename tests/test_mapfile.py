@@ -113,6 +113,21 @@ def test_save_requires_frozen():
         save(bmap, io.BytesIO())
 
 
+def test_unsavable_map_leaves_the_file_as_it_was(tmp_path):
+    # a label too long for its u16 length field fails the save before
+    # the path is opened, so the map saved there earlier still loads
+    path = tmp_path / "m.bmap"
+    _, maps = _maps()
+    save(maps["fast"], path)
+    before = path.read_bytes()
+    long = new_distribution([1, 1], [b"x" * 0x10000, b"y"])
+    bmap = build_tree([(b"k", b"y")], long, 2 ** -4, seed=1, scheme="fast")
+    with pytest.raises(ValueError, match="does not fit the format"):
+        save(bmap, path)
+    assert path.read_bytes() == before
+    assert _saved(load(path)) == before
+
+
 def test_path_errors(tmp_path):
     _, maps = _maps()
     with pytest.raises(IoError):
