@@ -33,6 +33,7 @@ a scalar query and describe() run on the standard library alone.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import accumulate, islice
@@ -300,15 +301,21 @@ class BloomMap:
     def store(self, key, value_index: int) -> None:
         """Record one (key, value) pair; freeze() sets its bits.
 
-        Storing a pair again is a no-op; storing its key with another
-        value raises DuplicateKey.
+        value_index is an int or any integer type operator.index takes,
+        such as a numpy int or a bool; a float raises TypeError.  Storing a
+        pair again is a no-op; storing its key with another value raises
+        DuplicateKey.
         """
-        key = _as_key(key)
-        if self._pending is None:
+        if type(key) is not bytes:
+            key = _as_key(key)
+        pending = self._pending
+        if pending is None:
             raise FrozenError("map is frozen")
-        if not 0 <= value_index < self.b:
-            raise ValueError(f"value index {value_index} outside 0..{self.b - 1}")
-        prior = self._pending.setdefault(key, value_index)
+        value_index = operator.index(value_index)  # a float is refused, not truncated
+        b = len(self.dist.probs)
+        if not 0 <= value_index < b:
+            raise ValueError(f"value index {value_index} outside 0..{b - 1}")
+        prior = pending.setdefault(key, value_index)
         if prior != value_index:
             raise _conflict(key, prior, value_index)
 
@@ -379,11 +386,15 @@ class BloomMap:
         Steps through the probe table's lists, one bit read a step,
         caching base hashes by index so subtrees sharing them reuse them.
         """
-        if not self.bits.frozen:
+        bits = self.bits
+        if not bits._frozen:
             raise ValueError("freeze the map before querying")
-        key = _as_key(key)
-        get_bit, base_hash, m = self.bits.get_bit, self.family.base_hash, self.m
-        table = self._table()
+        if type(key) is not bytes:
+            key = _as_key(key)
+        get_bit, base_hash, m = bits.get_bit, self.family.base_hash, bits.m
+        table = self._probes
+        if table is None or table.m != m:
+            table = self._table()
         js, offsets, nxt = table.j_list, table.offset_list, table.nxt_list
         cache = [None] * (self.family.k + 1)
         probes, d = 0, table.top
@@ -398,7 +409,7 @@ class BloomMap:
         # each evaluated index fills one cache slot; slot 0 is never used
         evals = len(cache) - cache.count(None)
         label = None if found is None else self.dist.labels[found]
-        return QueryOutcome(value_index=found, value=label, probes=probes, hash_evals=evals)
+        return QueryOutcome(found, label, probes, evals)
 
     def query_many(self, keys) -> tuple[np.ndarray, np.ndarray]:
         """Look up a batch of keys: (value_index, probes) as two int64

@@ -81,6 +81,10 @@ class ValueDistribution:
 
     def index_of(self, label) -> int:
         """Map a value label to its index in sorted order."""
+        if type(label) is bytes:
+            i = self._index.get(label)
+            if i is not None:
+                return i
         want = _as_label(label)
         i = self._index.get(want)
         if i is None:

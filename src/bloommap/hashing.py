@@ -1,13 +1,17 @@
 """Seeded non-cryptographic hashing by double hashing.
 
-A key is hashed once: its 8-byte words run through a splitmix-style
-finalizer (two multiply-xor-shift rounds) under the 64-bit master seed,
-giving h1, and one more finalizer round gives the odd step
+A key is hashed once: a splitmix-style finalizer round (two
+multiply-xor-shift steps) mixes the 64-bit master seed with the key's
+length, and one absorb loop then folds in the key's 8-byte little-endian
+words, one finalizer round each, read from a single int of the whole key;
+that gives h1, and one more finalizer round gives the odd step
 h2 = fmix64(h1) | 1.  Function j is then g_j = (h1 + j * h2) mod 2**64,
 reduced to a bit position by multiply-shift rather than modulo.  Kirsch
 and Mitzenmacher ("Less Hashing, Same Performance", ESA 2006) show that
 these g_j keep the false positive rate of k independent functions, so a
-map probing t positions per key pays for one key hash, not t.
+map probing t positions per key pays for one key hash, not t.  The first
+round reads only the seed and the length, so a HashFamily keeps it per
+key length and a lookup runs the absorb loop alone.
 
 A numpy batch path digests a list of keys of any lengths at once, one
 pass per 8-byte word count, and agrees bit for bit with the scalar path
@@ -41,15 +45,28 @@ def _fmix64(z):
     return z ^ (z >> 31)
 
 
+def _absorb(z: int, key: bytes) -> int:
+    """Fold key's 8-byte little-endian words into z, the last one zero
+    padded, with one _fmix64 round each, written out inline."""
+    x = int.from_bytes(key, "little")
+    for shift in range(0, len(key) << 3, 64):
+        z ^= (x >> shift) & MASK64
+        z ^= z >> 30
+        z = (z * _MULT1) & MASK64
+        z ^= z >> 27
+        z = (z * _MULT2) & MASK64
+        z ^= z >> 31
+    return z
+
+
+def _start(seed: int, length: int) -> int:
+    """The first round of a digest, which reads only the seed and the key's length."""
+    return _fmix64(seed ^ ((length * _GOLD) & MASK64))
+
+
 def keyed_hash64(seed: int, key: bytes) -> int:
     """64-bit hash of a byte string under the given seed."""
-    h = _fmix64(seed ^ ((len(key) * _GOLD) & MASK64))
-    full = len(key) & ~7
-    for i in range(0, full, 8):
-        h = _fmix64(h ^ int.from_bytes(key[i : i + 8], "little"))
-    if full != len(key):
-        h = _fmix64(h ^ int.from_bytes(key[full:], "little"))
-    return h
+    return _absorb(_start(seed, len(key)), key)
 
 
 @cache
@@ -113,13 +130,17 @@ class HashFamily:
     Function j (1-based) maps a key to reduce((h1 + j * h2) mod 2**64, m),
     where (h1, h2) is the key's digest.  base_hash keeps the last key it
     digested in a one-slot memo, so the t calls a lookup or store makes
-    for one key object hash that key once.  The memo is the only state
-    that changes: it is one (key, h1, h2) tuple, replaced whole and read
-    once per call, so a family is safe to share across threads; a race
-    only costs a second digest.
+    for one key object hash that key once, and it starts each digest from
+    the family's table of first rounds, one int per key length seen, so
+    a digest runs only keyed_hash64's absorb loop.  The memo and that table
+    are the only state that changes: the memo is one (key, h1, h2) tuple,
+    replaced whole and read once per call, and a table entry depends only
+    on the seed and the length, so a family is safe to share across
+    threads; a race only costs a second digest or a second computation of
+    the same entry.
     """
 
-    __slots__ = ("master_seed", "m", "k", "_memo")
+    __slots__ = ("master_seed", "m", "k", "_memo", "_starts")
 
     def __init__(self, master_seed: int, m: int, k: int):
         if m < 1:
@@ -130,6 +151,7 @@ class HashFamily:
         self.m = m
         self.k = k
         self._memo = (None, 0, 0)
+        self._starts: dict[int, int] = {}  # key length -> _start(master_seed, length)
 
     def base_hash(self, j: int, key: bytes) -> int:
         """Position of key under function j (1-based), in [0, m)."""
@@ -137,7 +159,11 @@ class HashFamily:
             raise IndexError(f"hash index {j} outside 1..{self.k}")
         memo = self._memo
         if memo[0] is not key:
-            h1 = keyed_hash64(self.master_seed, key)
+            n = len(key)
+            z = self._starts.get(n)
+            if z is None:
+                z = self._starts[n] = _start(self.master_seed, n)
+            h1 = _absorb(z, key)
             memo = self._memo = (key, h1, _fmix64(h1) | 1)
         # (g_j * m) >> 64, the scalar form of _reduce_np
         return ((memo[1] + j * memo[2]) & MASK64) * self.m >> 64

@@ -12,6 +12,8 @@ import io
 import itertools
 import math
 import random
+import sys
+import threading
 
 import numpy as np
 import pytest
@@ -230,6 +232,30 @@ def test_store_and_freeze_lifecycle():
     assert not bmap.query(b"k1").is_bottom
 
 
+def test_store_refuses_a_float_value_index():
+    # freeze() would truncate a float index: 3.99 used to store value 3,
+    # and a refused 1.5 must not block storing the key again; integer
+    # types operator.index takes are stored as their int
+    d = uniform_distribution(4)
+    bmap = plan_tree_map(d, 2 ** -7, seed=5, scheme="standard", counts=(1, 1, 1, 1))
+    for value in (3.99, 1.5, 2.0, "1", None):
+        with pytest.raises(TypeError):
+            bmap.store(b"k2", value)
+    bmap.store(b"k2", 1)
+    bmap.store(b"k2", np.int64(1))  # the same pair again
+    bmap.store(b"k3", True)
+    bmap.store(b"k4", np.uint8(3))
+    with pytest.raises(DuplicateKey, match="value index 1, not 2"):
+        bmap.store(b"k2", np.int16(2))
+    with pytest.raises(ValueError, match="value index 4 outside 0..3"):
+        bmap.store(b"k5", np.int64(4))
+    bmap.freeze()
+    assert bmap.n == 3
+    assert bmap.query(b"k2").value_index >= 1
+    assert bmap.query(b"k3").value_index >= 1
+    assert bmap.query(b"k4").value_index == 3
+
+
 def test_plan_requires_exactly_one_size():
     d = uniform_distribution(2)
     with pytest.raises(ValueError):
@@ -271,12 +297,20 @@ def test_duplicate_pairs_dedupe_cleanly():
 
 
 def test_str_keys_are_utf8():
+    # a str key is hashed as its UTF-8 bytes, whose length, not the str's,
+    # picks the digest's first round
     d = new_distribution([1, 1], "xy")
     bmap = plan_tree_map(d, 2 ** -4, seed=7, scheme="standard", counts=(1, 1))
     bmap.store("alpha", 1)
+    keys = ["", "h\u00e9llo", "\u65e5\u672c\u8a9e", "\U0001f600" * 3, "x" * 40]
+    for key in keys:
+        bmap.store(key, 0)
     bmap.freeze()
     assert bmap.query("alpha") == bmap.query(b"alpha")
     assert bmap.query("alpha").value == b"y"
+    for key in keys + [key + "?" for key in keys]:
+        assert bmap.query(key) == bmap.query(key.encode("utf-8"))
+    assert all(bmap.query(key.encode("utf-8")).value_index is not None for key in keys)
 
 
 def test_value_with_no_keys_is_allowed():
@@ -791,6 +825,40 @@ def test_query_many_reads_the_bits_the_map_holds_now(tmp_path):
     loaded = load(path)
     again_found, again_probes = loaded.query_many(keys)
     assert (again_found == found).all() and (again_probes == probes).all()
+
+
+def test_fresh_map_answers_alike_from_two_threads(tmp_path):
+    # two threads race to fill a loaded map's probe table, its hash memo
+    # and its first rounds, one per key length, on keys of 0-80 bytes
+    # whose lengths the map has not hashed yet; each answers as one
+    # thread alone does
+    pairs = generate_pmap(PMapSpec(SKEW, 2000, seed=12))
+    path = tmp_path / "m.bmap"
+    save(build_tree(pairs, SKEW, 2 ** -7, seed=13, scheme="standard"), path)
+    rnd = random.Random(14)
+    keys = [rnd.randbytes(n) for n in range(81) for _ in range(3)]
+    keys += [key for key, _ in pairs[:200]]
+    want = [load(path).query(key) for key in keys]
+    bmap = load(path)
+    start = threading.Barrier(2)
+    answers = [None, None]
+
+    def lookups(slot):
+        start.wait(timeout=60)
+        answers[slot] = [bmap.query(key) for key in keys]
+
+    switch = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=lookups, args=(slot,)) for slot in (0, 1)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+    finally:
+        sys.setswitchinterval(switch)
+    assert [thread.is_alive() for thread in threads] == [False, False]
+    assert answers == [want, want]
 
 
 @pytest.mark.parametrize("variant", ["simple", "standard", "fast"])

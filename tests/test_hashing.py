@@ -71,6 +71,57 @@ def test_keyed_hash_sensitivity():
     assert keyed_hash64(7, b"") != keyed_hash64(7, b"\x00")
 
 
+_MASK64 = (1 << 64) - 1
+
+
+def _fmix64(z):
+    z ^= z >> 30
+    z = (z * 0xBF58476D1CE4E5B9) & _MASK64
+    z ^= z >> 27
+    z = (z * 0x94D049BB133111EB) & _MASK64
+    return z ^ (z >> 31)
+
+
+def _chained_keyed_hash64(seed, key):
+    # the reference digest: one finalizer call per round, the key sliced
+    # once per 8-byte word, the last word zero padded
+    h = _fmix64(seed ^ ((len(key) * 0x9E3779B97F4A7C15) & _MASK64))
+    full = len(key) & ~7
+    for i in range(0, full, 8):
+        h = _fmix64(h ^ int.from_bytes(key[i : i + 8], "little"))
+    if full != len(key):
+        h = _fmix64(h ^ int.from_bytes(key[full:], "little"))
+    return h
+
+
+def _reference_position(seed, m, j, key):
+    h1 = _chained_keyed_hash64(seed, key)
+    return ((h1 + j * (_fmix64(h1) | 1)) & _MASK64) * m >> 64
+
+
+@settings(max_examples=300, deadline=None)
+@given(seeds=st.lists(st.integers(0, _MASK64), min_size=2, max_size=2),
+       keys=st.lists(st.binary(max_size=80), min_size=1, max_size=12),
+       m=st.integers(1, _MASK64))
+@example(seeds=[0, _MASK64], keys=[bytes(n) for n in range(81)], m=97)
+def test_digests_equal_the_chained_reference(seeds, keys, m):
+    # keyed_hash64, base_hash (each family starting from its own table of
+    # first rounds, one per key length) and digest_batch all equal the
+    # reference; two families of other seeds, fed keys of the same lengths
+    # in turn, each keep their own answers
+    families = [HashFamily(seed, m, 3) for seed in seeds]
+    for key in keys + [bytes(reversed(key)) for key in keys]:
+        for seed, fam in zip(seeds, families):
+            assert keyed_hash64(seed, key) == _chained_keyed_hash64(seed, key)
+            for j in (1, 3):
+                assert fam.base_hash(j, key) == _reference_position(seed, m, j, key)
+    for seed, fam in zip(seeds, families):
+        h1, h2 = fam.digest_batch(keys)
+        want = [_chained_keyed_hash64(seed, key) for key in keys]
+        assert h1.tolist() == want
+        assert h2.tolist() == [_fmix64(h) | 1 for h in want]
+
+
 def test_batch_matches_scalar():
     # one batch mixes keys of 0-80 bytes, every word count from 0 to 10,
     # with keys that differ only in trailing zero bytes
