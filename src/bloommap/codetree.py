@@ -35,10 +35,7 @@ __all__ = [
     "refresh_base_starts",
     "left_branch_count",
     "tree_property_report",
-    "SCHEMES",
 ]
-
-SCHEMES = ("standard", "fast", "custom")
 
 
 @dataclass
@@ -61,7 +58,8 @@ class TreeNode:
 class CodeTree:
     """A full binary tree over value indices 0..b-1 (leaves, left to right).
 
-    Built once per map, then treated as immutable; queries only read it.
+    Built once per map, by tree_from_depths, then treated as immutable;
+    queries only read it.
     """
 
     def __init__(self):
@@ -70,39 +68,6 @@ class CodeTree:
         self.leaves: tuple[int, ...] = ()
         self.certification: CertificationReport | None = None
         self.rows: list[list[int]] | None = None  # plan rows of the certified counts
-
-    # -- construction -------------------------------------------------
-
-    def new_leaf(self) -> int:
-        node = TreeNode(index=len(self.nodes))
-        self.nodes.append(node)
-        return node.index
-
-    def new_internal(self, left: int, right: int) -> int:
-        node = TreeNode(index=len(self.nodes), left=left, right=right)
-        self.nodes.append(node)
-        self.nodes[left].parent = node.index
-        self.nodes[right].parent = node.index
-        return node.index
-
-    def seal(self, root: int) -> None:
-        """Fix the root, compute depths, and number leaves left to right."""
-        self.root = root
-        leaves: list[int] = []
-        stack = [(root, 0)]
-        while stack:
-            idx, depth = stack.pop()
-            node = self.nodes[idx]
-            node.depth = depth
-            if node.is_leaf:
-                leaves.append(idx)
-            else:
-                # push right first so the left child pops first
-                stack.append((node.right, depth + 1))
-                stack.append((node.left, depth + 1))
-        for value_index, idx in enumerate(leaves):
-            self.nodes[idx].value_index = value_index
-        self.leaves = tuple(leaves)
 
     # -- lookups ------------------------------------------------------
 
@@ -184,19 +149,26 @@ def _garsia_wachs_depths(weights) -> list[int]:
 
 def tree_from_depths(depths) -> CodeTree:
     """Build the unique full binary tree whose leaves, left to right, sit at
-    the given depths.  Raises ValueError if no such tree exists."""
+    the given depths, setting each node's depth and numbering the leaves
+    as it makes them.  Raises ValueError if no such tree exists."""
     tree = CodeTree()
-    stack: list[tuple[int, int]] = []  # (node index, depth)
+    nodes, leaves = tree.nodes, []
+    stack: list[TreeNode] = []  # the subtrees built so far, left to right
     for depth in depths:
         if depth < 0:
             raise ValueError(f"negative leaf depth {depth}")
-        stack.append((tree.new_leaf(), depth))
-        while len(stack) >= 2 and stack[-1][1] == stack[-2][1] and stack[-1][1] > 0:
-            (right, d), (left, _) = stack.pop(), stack.pop()
-            stack.append((tree.new_internal(left, right), d - 1))
-    if len(stack) != 1 or stack[0][1] != 0:
+        node = TreeNode(len(nodes), depth=depth, value_index=len(leaves))
+        leaves.append(node.index)
+        nodes.append(node)
+        while stack and stack[-1].depth == node.depth > 0:
+            left, right = stack.pop(), node
+            node = TreeNode(len(nodes), left=left.index, right=right.index, depth=right.depth - 1)
+            left.parent = right.parent = node.index
+            nodes.append(node)
+        stack.append(node)
+    if len(stack) != 1 or stack[0].depth != 0:
         raise ValueError(f"depth sequence {tuple(depths)} does not describe a full binary tree")
-    tree.seal(stack[0][0])
+    tree.root, tree.leaves = stack[0].index, tuple(leaves)
     return tree
 
 
@@ -221,16 +193,19 @@ def plan_tree(dist, epsilon: float, scheme: str = "standard", custom=None) -> Co
 
     Building a map and loading one both plan through here, so a map file
     stores the distribution and never the plan.  Custom counts are taken
-    as stated: counts that miss the budget raise InvalidScheme unbumped.
+    as stated: counts that miss the budget raise InvalidScheme unbumped, so
+    a file's counts never reach the bump loop.
     """
     tree = build_alphabetic_tree(dist)
     assign_offsets(tree)
-    if scheme == "custom":
-        _check_epsilon(epsilon)
-        _scheme_counts(tree, epsilon, scheme, custom)
-        if not CertificationReport(epsilon, *analytic_error_bounds(tree)).certified:
-            raise InvalidScheme(f"counts do not certify for epsilon={epsilon!r}")
-    return assign_hash_counts(tree, epsilon, scheme, custom=custom)
+    if scheme != "custom":
+        return assign_hash_counts(tree, epsilon, scheme)
+    _check_epsilon(epsilon)
+    _scheme_counts(tree, epsilon, scheme, custom)
+    if not CertificationReport(epsilon, *analytic_error_bounds(tree)).certified:
+        raise InvalidScheme(f"counts do not certify for epsilon={epsilon!r}")
+    tree.certification = certify_error_bounds(tree, epsilon)
+    return tree
 
 
 # -- offsets and base indices -----------------------------------------
@@ -310,7 +285,7 @@ def _scheme_counts(tree: CodeTree, epsilon: float, scheme: str, custom) -> None:
             node.k = k
         return
     else:
-        raise InvalidScheme(f"unknown scheme {scheme!r}; expected one of {SCHEMES}")
+        raise InvalidScheme(f"unknown scheme {scheme!r}")
     floor = _leaf_floor(epsilon)
     leaf_k = max(leaf_k, floor)
     for node in tree.nodes:

@@ -20,11 +20,11 @@ records pairs in a dict and freeze() digests them a chunk at a time; the
 batch builders hold no per-key dict: they read the pairs CHUNK at a time,
 digest each chunk once, one pass per 8-byte word count, and dedupe by
 sorting the 64-bit h1 digests, comparing key bytes only where digests
-are equal.  A map plans itself from its variant, whether built, planned
-by plan_tree_map or loaded, and one step, BloomMap._size_for, sizes
-both layouts by one rule, m = ceil(log2(e) * sum_i count_i * t_i), from
-the tallies plan_tree_map is given or, at freeze(), those of the pairs
-written.
+are equal.  A map plans itself from its variant, whether built (before
+a pair is read), planned by plan_tree_map or loaded, and one step,
+BloomMap._size_for, sizes both layouts by one rule, m = ceil(log2(e) *
+sum_i count_i * t_i), from the counts plan_tree_map is given, a
+builder's tallies or, at freeze(), those of the pairs written.
 
 Only the batch code imports numpy, on its first call: loading a map,
 a scalar query and describe() run on the standard library alone.
@@ -42,7 +42,7 @@ from typing import TYPE_CHECKING
 from . import codetree
 from .bounds import _check_epsilon
 from .distribution import ValueDistribution, integer_counts
-from .errors import DuplicateKey, FrozenError
+from .errors import DuplicateKey, FrozenError, InvalidScheme
 from .hashing import HashFamily, step_of
 
 if TYPE_CHECKING:
@@ -61,6 +61,7 @@ __all__ = [
 ]
 
 CHUNK = 4096  # pairs read, digested and written per step of a build
+VARIANTS = ("simple", "standard", "fast", "custom")  # the flat layout, then the tree schemes
 
 
 class BitArray:
@@ -204,13 +205,14 @@ def _as_keys(keys):
 class BloomMap:
     """One bit array plus the recipe for reading and writing it.
 
-    variant is "simple" for the flat layout or the tree scheme name
-    ("standard", "fast", "custom", which takes its per-node counts as
-    custom); the map plans itself from it, its distribution and epsilon,
-    raising InvalidScheme for counts that do not certify.  plan_tree_map
-    creates an empty map of either layout; store() records pairs and
-    freeze() writes them all and stops accepting writes.  Frozen maps
-    never mutate and may be queried from any number of threads.
+    variant is one of VARIANTS: "simple" for the flat layout or a tree
+    scheme, of which only "custom" takes per-node counts, as custom.  The
+    map plans itself from it, its distribution and epsilon, raising
+    InvalidScheme for an unknown variant, misplaced custom counts or
+    counts that do not certify.  plan_tree_map creates an empty map of
+    either layout; store() records pairs and freeze() writes them all and
+    stops accepting writes.  Frozen maps never mutate and may be queried
+    from any number of threads.
 
     _plan, O(b) rows (first, last, offset, low, on_pass, on_fail, up),
     one per tree node in preorder or per flat block, is the single
@@ -231,6 +233,10 @@ class BloomMap:
 
     def __init__(self, *, variant: str, dist: ValueDistribution, epsilon: float,
                  seed: int, bits: BitArray, n: int = 0, custom=None):
+        if variant not in VARIANTS:
+            raise InvalidScheme(f"unknown variant {variant!r}; expected one of {VARIANTS}")
+        if custom is not None and variant != "custom":
+            raise InvalidScheme(f"custom hash counts given to variant {variant!r}")
         self.variant = variant
         self.dist = dist
         self.epsilon = epsilon
@@ -244,7 +250,7 @@ class BloomMap:
             self.tree = codetree.plan_tree(dist, epsilon, variant, custom)
             rows = self.tree.rows
         self._plan = rows
-        self._probes: _ProbeTable | None = None  # compiled from _plan on first use
+        self._probes: _ProbeTable | None = None  # compiled from _plan for m on first use
         self.family = HashFamily(seed, bits.m, max(row[1] for row in rows))
         self._pending: dict[bytes, int] | None = None if bits.frozen else {}
 
@@ -348,12 +354,13 @@ class BloomMap:
         m = codetree.size_bit_array(tallies, codetree.plan_bounds(self._plan)[2])
         self.bits = BitArray(m)
         self.family = HashFamily(self.family.master_seed, m, self.family.k)
+        self._probes = None  # its offsets were reduced mod the old m
 
     def _table(self) -> _ProbeTable:
-        """The probe table for the map's m, compiled on first use, as freeze()
-        may resize m and a load needs none; racing threads compile it twice."""
+        """The probe table for the map's m, compiled on first use, as a load
+        needs none; racing threads compile it twice."""
         table = self._probes
-        if table is None or table.m != self.m:
+        if table is None:
             table = self._probes = _ProbeTable(self._plan, self.m)
         return table
 
@@ -392,9 +399,7 @@ class BloomMap:
         if type(key) is not bytes:
             key = _as_key(key)
         get_bit, base_hash, m = bits.get_bit, self.family.base_hash, bits.m
-        table = self._probes
-        if table is None or table.m != m:
-            table = self._table()
+        table = self._probes or self._table()
         js, offsets, nxt = table.j_list, table.offset_list, table.nxt_list
         cache = [None] * (self.family.k + 1)
         probes, d = 0, table.top
@@ -490,7 +495,7 @@ class _ProbeTable:
         nxt = [0] * (2 * len(js))
         nxt[0::2], nxt[1::2] = on_zero, on_set
         self.j_list, self.offset_list, self.nxt_list = js, offsets, nxt
-        self.up_list, self.leaf_list, self.m = ups, leaves, m
+        self.up_list, self.leaf_list = ups, leaves
 
     @cached_property
     def j(self) -> np.ndarray:
@@ -615,12 +620,14 @@ def plan_tree_map(dist: ValueDistribution, epsilon: float, seed: int,
 
 def build_tree(pairs, dist: ValueDistribution, epsilon: float, seed: int,
                scheme: str = "standard", *, custom=None) -> BloomMap:
-    """Build and freeze a map from (key, value label) pairs: tally and
-    dedupe them, plan the map with plan_tree_map, sized by the tallies,
-    and write them a chunk at a time.  scheme is a tree scheme, or
-    "simple" for the flat layout (build_simple)."""
+    """Build and freeze a map from (key, value label) pairs: plan it, so a
+    bad scheme, epsilon or custom raises before a pair is read, then tally
+    and dedupe the pairs, size the map by the tallies and write them a
+    chunk at a time.  scheme is a tree scheme, or "simple" (build_simple)."""
+    bmap = BloomMap(variant=scheme, dist=dist, epsilon=epsilon, seed=seed,
+                    bits=BitArray(1), custom=custom)  # sized for the tallies below
     h1, values, counts = _tally(pairs, dist, seed)
-    bmap = plan_tree_map(dist, epsilon, seed, scheme, counts=counts, custom=custom)
+    bmap._size_for(counts)
     bmap._pending = None  # the pairs are written here, not recorded
     for lo in range(0, len(h1), CHUNK):
         part = h1[lo : lo + CHUNK]

@@ -13,8 +13,9 @@ class InvalidEpsilon(BloomMapError):
     """Error budget outside the open interval (0, 1)."""
 
 
-class InvalidScheme(BloomMapError):
-    """Hash count scheme is unknown or violates per-node floors."""
+class InvalidScheme(BloomMapError, ValueError):
+    """Unknown variant, custom counts given to another variant, or counts
+    that violate per-node floors; a ValueError too, as a bad argument is."""
 
 
 class UnknownValue(BloomMapError):

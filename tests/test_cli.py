@@ -1,11 +1,13 @@
 """End-to-end command line coverage, driven through cli_main()."""
 
+import argparse
 import re
 
 import pytest
 
 from bloommap import build_tree, load, new_distribution, save
-from bloommap.cli import cli_main
+from bloommap.cli import _build_parser, cli_main
+from bloommap.harness import VARIANTS
 
 
 @pytest.fixture
@@ -184,6 +186,16 @@ def test_usage_errors_exit_1(capsys):
     assert cli_main(["build", "--nope"]) == 1
     assert cli_main(["bench", "--dist", "x.tsv"]) == 1  # --n and --epsilon missing
     assert cli_main(["frobnicate"]) == 1
+    capsys.readouterr()
+
+
+def test_variant_choices_are_the_harness_variants(capsys):
+    sub = next(a for a in _build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+    for command in ("build", "bench"):
+        flag = next(a for a in sub.choices[command]._actions if "--variant" in a.option_strings)
+        assert tuple(flag.choices) == VARIANTS
+    assert cli_main(["build", "--input", "x.tsv", "--epsilon", "0.01", "--out", "x.bmap",
+                     "--variant", "custom"]) == 1  # custom counts have no flag
     capsys.readouterr()
 
 

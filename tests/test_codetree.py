@@ -477,12 +477,20 @@ def test_structure_constructed_and_random_canonical_trees():
         report = tree_property_report(build_alphabetic_tree(d))
         assert report.all_ok and not report.path_difference_skipped
 
-    # random full trees brought into canonical (sorted-depth) form
+    # random full trees brought into canonical (sorted-depth) form, whose
+    # depths and leaf numbers tree_from_depths sets as it builds
     for _ in range(100):
         b = rnd.randint(2, 16)
         depths = sorted(_random_full_tree_depths(rnd, b))
-        report = tree_property_report(tree_from_depths(depths))
+        tree = tree_from_depths(depths)
+        report = tree_property_report(tree)
         assert report.all_ok and not report.path_difference_skipped
+        assert tree.nodes[tree.root].depth == 0 and tree.nodes[tree.root].parent is None
+        for node in tree.nodes:
+            if node.index != tree.root:
+                assert node.depth == tree.nodes[node.parent].depth + 1
+        assert [tree.nodes[w].value_index for w in tree.leaves] == list(range(b))
+        assert tree.leaf_depths() == tuple(depths)
 
 
 def _random_full_tree_depths(rnd, b, depth=0):

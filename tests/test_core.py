@@ -25,6 +25,7 @@ from bloommap import (
     DuplicateKey,
     FrozenError,
     InvalidEpsilon,
+    InvalidScheme,
     QueryOutcome,
     UnknownValue,
     build_simple,
@@ -284,6 +285,48 @@ def test_builder_input_validation():
             frozen.store(b"z", 0)
     with pytest.raises(TypeError):
         bmap.query(123)
+
+
+def test_builders_fail_before_reading_a_pair():
+    # a builder plans its map first, so a bad variant, epsilon or custom
+    # mapping raises before the pairs are read, the one error naming the
+    # variants for a typo whichever way it is passed in
+    read = []
+
+    def pairs():
+        for i in range(100):
+            read.append(i)
+            yield f"k{i}".encode(), b"a"
+
+    custom = dict.fromkeys(range(2 * SKEW.b - 1), 9)
+    for build, error, match in (
+        (lambda: build_tree(pairs(), SKEW, 2 ** -5, 0, "standrad"), InvalidScheme,
+         "'simple', 'standard', 'fast', 'custom'"),
+        (lambda: build_variant(pairs(), SKEW, 2 ** -5, 0, "standrad"), InvalidScheme,
+         "'simple', 'standard', 'fast', 'custom'"),
+        (lambda: build_tree(pairs(), SKEW, 0, 0, "fast"), InvalidEpsilon, "error budget"),
+        (lambda: build_tree(pairs(), SKEW, 2 ** -5, 0, "standard", custom=custom),
+         InvalidScheme, "custom hash counts"),
+        (lambda: build_simple(pairs(), SKEW, 0, 0), InvalidEpsilon, "error budget"),
+    ):
+        with pytest.raises(error, match=match):
+            build()
+        assert read == []
+    assert issubclass(InvalidScheme, ValueError)
+
+
+def test_custom_counts_need_the_custom_variant():
+    # no variant but custom reads the counts, so it refuses them rather than
+    # build a map that silently ignores them
+    custom = dict.fromkeys(range(2 * SKEW.b - 1), 9)
+    pairs = generate_pmap(PMapSpec(SKEW, 50, seed=2))
+    with pytest.raises(InvalidScheme, match="custom hash counts given to variant 'standard'"):
+        build_tree(pairs, SKEW, 2 ** -7, 1, "standard", custom=custom)
+    for scheme in ("simple", "fast"):
+        with pytest.raises(InvalidScheme, match=f"given to variant '{scheme}'"):
+            plan_tree_map(SKEW, 2 ** -7, 1, scheme, n=50, custom=custom)
+    bmap = build_tree(pairs, SKEW, 2 ** -7, 1, "custom", custom=custom)
+    assert bmap.describe()["leaf_hash_counts"] == (9, 9, 9, 9)
 
 
 def test_duplicate_pairs_dedupe_cleanly():

@@ -24,9 +24,9 @@ from bloommap import (
     uniform_distribution,
 )
 from bloommap.codetree import _leaf_floor, plan_tree
-from bloommap.core import build_simple, build_tree, plan_tree_map
+from bloommap.core import VARIANTS, build_simple, build_tree, plan_tree_map
 from bloommap.harness import PMapSpec, generate_pmap
-from bloommap.mapfile import _FIXED
+from bloommap.mapfile import _FIXED, _VARIANT_CODES
 
 SKEW = new_distribution([0.5, 0.25, 0.125, 0.125], ["a", "b", "c", "d"])
 
@@ -87,6 +87,13 @@ def test_round_trip_every_variant(tmp_path):
         for key in [k for k, _ in pairs] + fresh:
             assert back.query(key) == bmap.query(key)
         assert _saved(back) == path.read_bytes()
+
+
+def test_file_codes_cover_the_variants():
+    # the codes are the format: a variant without one could not be saved,
+    # and a renumbered one would misread every older file
+    assert _VARIANT_CODES == {"simple": 0, "standard": 1, "fast": 2, "custom": 3}
+    assert tuple(_VARIANT_CODES) == VARIANTS
 
 
 def test_round_trip_through_streams():
