@@ -13,10 +13,9 @@ The rate tracks the fraction closely (a dropped key can still answer by
 accident, so it lands slightly under).
 """
 
-from bloommap import new_distribution
+from bloommap import build_tree, new_distribution
 from bloommap.harness import (
     PMapSpec,
-    build_variant,
     build_with_discard,
     generate_pmap,
     measure,
@@ -25,7 +24,7 @@ from bloommap.harness import (
 dist = new_distribution([0.6, 0.3, 0.1], ["hot", "warm", "cold"])
 pairs = generate_pmap(PMapSpec(dist, 40_000, seed=21))
 
-baseline = build_variant(pairs, dist, 2 ** -6, seed=2, variant="simple")
+baseline = build_tree(pairs, dist, 2 ** -6, seed=2, scheme="simple")
 print(f"baseline: {baseline.m} bits, no false negatives\n")
 
 header = f"{'discard':>8} {'bits':>8} {'saved':>6} {'f- measured':>12}"

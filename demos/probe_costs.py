@@ -13,20 +13,20 @@ holds in expectation (given half the array zero), and a finite sample
 wobbles around it by a few hundredths in either direction.
 """
 
-from bloommap import entropy, new_distribution
+from bloommap import build_tree, entropy, new_distribution
 from bloommap.bounds import (
     fast_negative_probe_limit,
     fast_positive_probe_limit,
     standard_negative_probe_limit,
 )
-from bloommap.harness import PMapSpec, build_variant, generate_pmap, measure
+from bloommap.harness import PMapSpec, generate_pmap, measure
 
 dist = new_distribution([0.5, 0.25, 0.125, 0.125], ["a", "b", "c", "d"])
 eps = 2 ** -7
 pairs = generate_pmap(PMapSpec(dist, 30_000, seed=12))
 
 for variant in ("standard", "fast"):
-    bmap = build_variant(pairs, dist, eps, seed=3, variant=variant)
+    bmap = build_tree(pairs, dist, eps, seed=3, scheme=variant)
     report = measure(bmap, pairs, neg_samples=20_000, seed=4)
     if variant == "fast":
         neg_limit = fast_negative_probe_limit()
@@ -45,7 +45,7 @@ for variant in ("standard", "fast"):
 
 # The flat variant has no tree to short-circuit through; negative keys
 # still exit quickly because each per-value block fails fast.
-bmap = build_variant(pairs, dist, eps, seed=3, variant="simple")
+bmap = build_tree(pairs, dist, eps, seed=3, scheme="simple")
 report = measure(bmap, pairs, neg_samples=20_000, seed=4)
 print(f"simple: absent-key probes mean {report.neg_probe_mean:.3f} "
       f"(scans {dist.b} blocks, ~2 probes each)")

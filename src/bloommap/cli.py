@@ -16,6 +16,7 @@ from dataclasses import asdict
 
 from . import bounds as bounds_mod
 from . import harness, mapfile
+from .core import build_tree
 from .distribution import load_distribution, new_distribution
 from .errors import BloomMapError
 
@@ -86,7 +87,7 @@ def _cmd_build(args) -> int:
     pairs = _read_pairs_tsv(args.input)
     tally = Counter(label for _, label in pairs)  # labels in first-seen order
     dist = new_distribution(list(tally.values()), list(tally))
-    bmap = harness.build_variant(pairs, dist, args.epsilon, args.seed, args.variant)
+    bmap = build_tree(pairs, dist, args.epsilon, args.seed, args.variant)
     mapfile.save(bmap, args.out)
     print(
         f"built {bmap.variant} map: n={bmap.n} b={bmap.b} m={bmap.m} "
@@ -112,7 +113,7 @@ def _cmd_bench(args) -> int:
     dist = load_distribution(args.dist)
     spec = harness.PMapSpec(dist=dist, n=args.n, seed=args.seed)
     pairs = harness.generate_pmap(spec)
-    build = harness.build_with_discard if args.discard else harness.build_variant
+    build = harness.build_with_discard if args.discard else build_tree
     bmap = build(pairs, dist, args.epsilon, args.seed, args.variant)
     report = harness.measure(bmap, pairs, args.neg_samples, seed=args.seed + 1)
     print(render(asdict(report) | asdict(bounds_mod.space_report(bmap))))

@@ -1,12 +1,15 @@
 """Code trees: the shape behind the tree-structured map variant.
 
 Each value gets a leaf of a full binary tree; more probable values sit
-nearer the root so their keys touch fewer bits.  The tree is the optimal
+nearer the root so their keys touch fewer bits.  The tree is an optimal
 alphabetic binary tree for the sorted probability vector (leaves stay in
-probability order), built with the Garsia-Wachs algorithm.  Every node
-then receives a level-order offset, a hash count k, and a consecutive
-slice of base hash indices, and the whole shape is certified against the
-requested error budget before any key is stored.
+probability order): since the vector is sorted, the sorted code lengths
+of a Huffman code, built by the two-queue method in O(b), give one.
+Every node then receives a level-order offset, a hash count k, and a
+consecutive slice of base hash indices.  A map's plan rows come straight
+from the leaf depths, and the whole plan is certified against the
+requested error budget before any key is stored; a CodeTree is the same
+shape as linked nodes, for reading and for building a plan by hand.
 """
 
 from __future__ import annotations
@@ -25,7 +28,10 @@ __all__ = [
     "CertificationReport",
     "TreePropertyReport",
     "build_alphabetic_tree",
-    "plan_tree",
+    "huffman_depths",
+    "plan_rows",
+    "row_depths",
+    "tree_from_rows",
     "tree_from_depths",
     "assign_offsets",
     "assign_hash_counts",
@@ -33,7 +39,6 @@ __all__ = [
     "compute_geometry",
     "size_bit_array",
     "refresh_base_starts",
-    "left_branch_count",
     "tree_property_report",
 ]
 
@@ -58,8 +63,10 @@ class TreeNode:
 class CodeTree:
     """A full binary tree over value indices 0..b-1 (leaves, left to right).
 
-    Built once per map, by tree_from_depths, then treated as immutable;
-    queries only read it.
+    Built by tree_from_depths, or from a map's plan rows by
+    tree_from_rows, and numbered as tree_from_depths numbers it: each node
+    after the subtrees of its two children (postorder).  Queries never
+    read it.
     """
 
     def __init__(self):
@@ -67,7 +74,6 @@ class CodeTree:
         self.root: int | None = None
         self.leaves: tuple[int, ...] = ()
         self.certification: CertificationReport | None = None
-        self.rows: list[list[int]] | None = None  # plan rows of the certified counts
 
     # -- lookups ------------------------------------------------------
 
@@ -112,7 +118,9 @@ def _garsia_wachs_depths(weights) -> list[int]:
     adjacent pair whose left member does not exceed the weight two to its
     right, then migrate the combined node left past lighter weights.  The
     depths of the original leaves in the resulting (non-alphabetic)
-    combination tree are the optimal alphabetic depths.
+    combination tree are the optimal alphabetic depths.  It takes
+    quadratic time; maps plan with huffman_depths, and this stays as the
+    oracle for unsorted weights, where the alphabetic order binds.
     """
     n = len(weights)
     if n == 1:
@@ -172,39 +180,132 @@ def tree_from_depths(depths) -> CodeTree:
     return tree
 
 
-def build_alphabetic_tree(dist) -> CodeTree:
-    """Optimal alphabetic binary tree for a ValueDistribution.
+def huffman_depths(probs) -> list[int]:
+    """Leaf depths, non-decreasing, of a Huffman code for the non-increasing
+    weights probs: the two-queue method (van Leeuwen, ICALP 1976), O(b).
 
-    Leaf i (left to right) corresponds to value i of the sorted
-    distribution, so the most probable values end up shallowest.  Ties in
-    the probabilities can leave the raw depth sequence unsorted; since the
-    probabilities are non-increasing, rearranging the same depth multiset
-    into non-decreasing order costs no more (and a full tree realizing it
-    always exists), so we canonicalize.  The structural guarantees checked
-    by tree_property_report assume this shape.
+    Leaves wait in one queue lightest first and merged nodes in another in
+    the order they are made, so both stay sorted, and each step merges the
+    two lightest fronts.  On equal weight the leaf goes first, so the
+    depths follow from probs alone, as a load that plans again needs.
+    Sorted Huffman lengths for sorted weights are an optimal alphabetic
+    tree: the cost Garsia-Wachs reaches, and its depths wherever no two
+    weights tie along the way.
     """
-    depths = sorted(_garsia_wachs_depths(dist.probs))
-    return tree_from_depths(depths)
+    b = len(probs)
+    weight = list(reversed(probs))  # leaves 0..b-1, lightest first; then merged nodes
+    parent = [0] * (2 * b - 1)
+    leaf, merged = 0, b  # the front of each queue; merged == node: that queue is empty
+    for node in range(b, 2 * b - 1):
+        if leaf < b and (merged == node or weight[leaf] <= weight[merged]):
+            x, leaf = leaf, leaf + 1
+        else:
+            x, merged = merged, merged + 1
+        if leaf < b and (merged == node or weight[leaf] <= weight[merged]):
+            y, leaf = leaf, leaf + 1
+        else:
+            y, merged = merged, merged + 1
+        parent[x] = parent[y] = node
+        weight.append(weight[x] + weight[y])
+    depth = [0] * (2 * b - 1)
+    for node in range(2 * b - 3, -1, -1):  # a parent is made after its children
+        depth[node] = depth[parent[node]] + 1
+    return sorted(depth[:b])
 
 
-def plan_tree(dist, epsilon: float, scheme: str = "standard", custom=None) -> CodeTree:
-    """The certified code tree of a tree map: the alphabetic shape for dist,
-    level-order offsets, and scheme's hash counts for epsilon.
+def build_alphabetic_tree(dist) -> CodeTree:
+    """Optimal alphabetic binary tree for a ValueDistribution: leaf i (left
+    to right) is value i of the sorted distribution, at its Huffman depth,
+    so the most probable values end up shallowest.  The structural
+    guarantees checked by tree_property_report assume this sorted-depth
+    shape."""
+    return tree_from_depths(huffman_depths(dist.probs))
+
+
+def plan_rows(dist, epsilon: float, scheme: str = "standard",
+              custom=None) -> tuple[list[list[int]], CertificationReport]:
+    """The certified plan rows of a tree map, with their report: the
+    Huffman shape for dist, level-order offsets and scheme's hash counts
+    for epsilon, built straight from the leaf depths in O(b) with no tree.
 
     Building a map and loading one both plan through here, so a map file
-    stores the distribution and never the plan.  Custom counts are taken
-    as stated: counts that miss the budget raise InvalidScheme unbumped, so
-    a file's counts never reach the bump loop.
+    stores the distribution and never the plan.  Custom counts are keyed
+    by tree_from_depths' node numbering and taken as stated: counts that
+    miss the budget raise InvalidScheme unbumped, so a file's counts never
+    reach the bump loop.
     """
-    tree = build_alphabetic_tree(dist)
-    assign_offsets(tree)
-    if scheme != "custom":
-        return assign_hash_counts(tree, epsilon, scheme)
     _check_epsilon(epsilon)
-    _scheme_counts(tree, epsilon, scheme, custom)
-    if not CertificationReport(epsilon, *analytic_error_bounds(tree)).certified:
-        raise InvalidScheme(f"counts do not certify for epsilon={epsilon!r}")
-    tree.certification = certify_error_bounds(tree, epsilon)
+    count = _node_counts(dist.b, epsilon, scheme, custom)
+    rows = _shape_rows(huffman_depths(dist.probs))
+    index = _postorder(rows) if scheme == "custom" else range(len(rows))
+    for r, row in enumerate(rows):  # slices are consecutive down every path
+        up = row[6]
+        row[0] = first = rows[up][1] + 1 if up >= 0 else 1
+        row[1] = first + count(index[r], row[4] < 0) - 1
+    return rows, _certify_rows(rows, epsilon, bump=scheme != "custom")
+
+
+def _shape_rows(depths) -> list[list[int]]:
+    """The plan rows of the full binary tree whose leaves, left to right,
+    sit at the non-decreasing depths, with first = last = 0 for the counts:
+    one stack pass in preorder.  A node's level-order offset is the count
+    of nodes at shallower depths plus its place within its own depth."""
+    leaves_at = [0] * (depths[-1] + 1)
+    for depth in depths:
+        leaves_at[depth] += 1
+    place, nodes, width = [], 0, 1  # width: the node count at a depth
+    for leaves in leaves_at:
+        place.append(nodes)
+        nodes += width
+        width = 2 * (width - leaves)
+    rows: list[list[int]] = []
+    stack = []  # (row, depth) of the nodes whose right child comes next
+    up, fail, depth = -1, -1, 0
+    for value, leaf_depth in enumerate(depths):
+        while True:  # down the left spine to value's leaf
+            rows.append([0, 0, place[depth], value, -1, fail, up])
+            place[depth] += 1
+            if depth >= leaf_depth:
+                break
+            up = len(rows) - 1  # a left child fails where its parent does
+            stack.append((up, depth))
+            depth += 1
+        if stack:  # a right child fails to its left sibling, right after the parent
+            up, depth = stack.pop()
+            fail, rows[up][4], depth = up + 1, len(rows), depth + 1
+    return rows
+
+
+def row_depths(rows) -> list[int]:
+    """Each plan row's depth: its number of ancestors."""
+    depth: list[int] = []
+    for row in rows:
+        up = row[6]
+        depth.append(depth[up] + 1 if up >= 0 else 0)
+    return depth
+
+
+def _postorder(rows) -> list[int]:
+    """Each tree row's node index as tree_from_depths numbers it, in
+    postorder: the rows before r that are not its ancestors, then the
+    2 leaves - 2 nodes of its subtree below it."""
+    leaves = [1] * len(rows)
+    for r in reversed(range(len(rows))):
+        right = rows[r][4]
+        if right >= 0:
+            leaves[r] = leaves[r + 1] + leaves[right]
+    return [r - d + 2 * n - 2 for r, (d, n) in enumerate(zip(row_depths(rows), leaves))]
+
+
+def tree_from_rows(rows) -> CodeTree:
+    """The code tree that a tree map's plan rows describe, numbered as
+    tree_from_depths numbers it: the nodes, depths, offsets, counts and
+    base index slices of the plan, for reading."""
+    depth = row_depths(rows)
+    tree = tree_from_depths([depth[r] for r, row in enumerate(rows) if row[4] < 0])
+    for index, (first, last, offset, *_) in zip(_postorder(rows), rows):
+        node = tree.nodes[index]
+        node.offset, node.k, node.base_start = offset, last - first + 1, first - 1
     return tree
 
 
@@ -248,13 +349,37 @@ def _leaf_floor(epsilon: float) -> int:
     return max(math.ceil(math.log2(1.0 / epsilon)), 1)
 
 
-def _scheme_counts(tree: CodeTree, epsilon: float, scheme: str, custom) -> None:
-    b = tree.b
+def _node_counts(b: int, epsilon: float, scheme: str, custom):
+    """count(index, is_leaf): scheme's hash count for node index of a tree
+    over b values, numbered as tree_from_depths numbers it.  Raises
+    InvalidScheme for an unknown scheme, and count does for a custom count
+    that is missing, outside 1..floor + 64, or below the floor at a leaf."""
+    floor = _leaf_floor(epsilon)
+    if scheme == "custom":
+        if custom is None:
+            raise InvalidScheme("custom scheme needs a per-node hash count mapping")
+        # a count of floor + 64 already leaves every error term it enters
+        # below 2^-64 * epsilon, so a larger one only adds probes; the cap
+        # keeps the hash family, and so a query's work, linear in b
+        cap = floor + 64
+
+        def count(index: int, is_leaf: bool) -> int:
+            try:
+                k = int(custom[index])
+            except (KeyError, IndexError):
+                raise InvalidScheme(f"custom counts missing node {index}") from None
+            if not 1 <= k <= cap:
+                raise InvalidScheme(f"node {index}: hash count {k} outside 1..{cap}")
+            if is_leaf and k < floor:
+                raise InvalidScheme(f"leaf {index}: hash count {k} below floor {floor}")
+            return k
+
+        return count
     if scheme == "standard":
         # internal nodes get a single probe; leaves absorb the error budget
         # plus a harmonic-number term that pays for the deep right spine
         if b == 1:
-            leaf_k = _leaf_floor(epsilon)
+            leaf_k = floor
         else:
             harmonic = math.fsum(1.0 / r for r in range(1, b + 1))
             leaf_k = math.ceil(math.log2(1.0 / epsilon) + math.log2(harmonic - 1.0) + 1.0)
@@ -263,33 +388,10 @@ def _scheme_counts(tree: CodeTree, epsilon: float, scheme: str, custom) -> None:
         # two probes per internal node halve expected traversal work
         leaf_k = math.ceil(math.log2(1.0 / epsilon)) + 2
         internal_k = 2
-    elif scheme == "custom":
-        if custom is None:
-            raise InvalidScheme("custom scheme needs a per-node hash count mapping")
-        floor = _leaf_floor(epsilon)
-        # a count of floor + 64 already leaves every error term it enters
-        # below 2^-64 * epsilon, so a larger one only adds probes; the cap
-        # keeps the hash family, and so a query's work, linear in b
-        cap = floor + 64
-        for node in tree.nodes:
-            try:
-                k = int(custom[node.index])
-            except (KeyError, IndexError):
-                raise InvalidScheme(f"custom counts missing node {node.index}") from None
-            if not 1 <= k <= cap:
-                raise InvalidScheme(f"node {node.index}: hash count {k} outside 1..{cap}")
-            if node.is_leaf and k < floor:
-                raise InvalidScheme(
-                    f"leaf {node.index}: hash count {k} below floor {floor}"
-                )
-            node.k = k
-        return
     else:
         raise InvalidScheme(f"unknown scheme {scheme!r}")
-    floor = _leaf_floor(epsilon)
     leaf_k = max(leaf_k, floor)
-    for node in tree.nodes:
-        node.k = leaf_k if node.is_leaf else internal_k
+    return lambda index, is_leaf: leaf_k if is_leaf else internal_k
 
 
 def assign_hash_counts(tree: CodeTree, epsilon: float, scheme: str = "standard",
@@ -303,7 +405,9 @@ def assign_hash_counts(tree: CodeTree, epsilon: float, scheme: str = "standard",
     certification report lands on tree.certification.
     """
     _check_epsilon(epsilon)
-    _scheme_counts(tree, epsilon, scheme, custom)
+    count = _node_counts(tree.b, epsilon, scheme, custom)
+    for node in tree.nodes:
+        node.k = count(node.index, node.is_leaf)
     tree.certification = certify_error_bounds(tree, epsilon)
     return tree
 
@@ -391,22 +495,19 @@ def _tree_rows(tree: CodeTree) -> list[list[int]]:
     return rows
 
 
-def certify_error_bounds(tree: CodeTree, epsilon: float) -> CertificationReport:
-    """Check the analytic error bounds against epsilon, raising leaf hash
-    counts until both hold.
+def _certify_rows(rows, epsilon: float, bump: bool = True) -> CertificationReport:
+    """Check the analytic error bounds of tree plan rows against epsilon,
+    raising leaf hash counts (a leaf row's last) until both hold, or
+    raising InvalidScheme at once if bump is false.
 
     Each round finds the most violated constraint and bumps the leaf
     contributing its largest term, so the loop converges quickly (every
-    bump at least halves that term).  The returned report always
-    satisfies report.certified, and tree.rows holds the plan rows of the
-    certified counts, which a map then reads as its plan.
+    bump at least halves that term).  A leaf's slice ends its path, so a
+    bump moves no other row's.
     """
-    _check_epsilon(epsilon)
-    refresh_base_starts(tree)  # once: a leaf bump moves no node's slice
-    leaves = [tree.nodes[w] for w in tree.leaves]
+    leaves = [r for r, row in enumerate(rows) if row[4] < 0]
     bumped: list[int] = []
     while True:
-        rows = _tree_rows(tree)
         fp, mis, t = plan_bounds(rows)
         worst_gap = fp - epsilon
         worst_constraint = -1  # -1 means the false positive bound
@@ -416,24 +517,43 @@ def certify_error_bounds(tree: CodeTree, epsilon: float) -> CertificationReport:
                 worst_constraint = i
         if worst_gap <= 0.0:
             break
+        if not bump:
+            raise InvalidScheme(f"counts do not certify for epsilon={epsilon!r}")
         if worst_constraint < 0:
-            target = min(range(tree.b), key=lambda i: t[i])
+            target = min(range(len(leaves)), key=t.__getitem__)
         else:
             i = worst_constraint
-            shared = set(tree.path_ids(i))
-            target = min(  # the largest term: least weight below the common ancestor
-                range(i + 1, tree.b),
-                key=lambda j: t[j] - sum(tree.nodes[w].k for w in tree.path_ids(j) if w in shared),
-            )
-        leaves[target].k += 1
+            shared, r = set(), leaves[i]
+            while r >= 0:
+                shared.add(r)
+                r = rows[r][6]
+
+            def below_common(j: int) -> int:
+                # j's counts below its lowest common ancestor with i, the
+                # row on both paths whose last counts every one above it
+                r = leaves[j]
+                while r not in shared:
+                    r = rows[r][6]
+                return t[j] - rows[r][1]
+
+            target = min(range(i + 1, len(leaves)), key=below_common)  # the largest term
+        rows[leaves[target]][1] += 1
         bumped.append(target)
-    tree.rows = rows
-    return CertificationReport(
-        epsilon=epsilon,
-        false_positive_bound=fp,
-        misassignment_bounds=mis,
-        bumped=tuple(bumped),
-    )
+    return CertificationReport(epsilon, fp, mis, tuple(bumped))
+
+
+def certify_error_bounds(tree: CodeTree, epsilon: float) -> CertificationReport:
+    """Check the analytic error bounds against epsilon, raising leaf hash
+    counts until both hold: the plan rows' certification, its counts
+    written back to the tree's leaves.  The returned report always
+    satisfies report.certified."""
+    _check_epsilon(epsilon)
+    refresh_base_starts(tree)
+    rows = _tree_rows(tree)
+    report = _certify_rows(rows, epsilon)
+    for w, row in zip(tree.leaves, (row for row in rows if row[4] < 0)):
+        tree.nodes[w].k = row[1] - row[0] + 1
+    return report
 
 
 # -- geometry ---------------------------------------------------------
@@ -467,15 +587,6 @@ def size_bit_array(counts, t) -> int:
     if sum(counts) == 0:
         raise ValueError("refusing to size an empty map (all counts zero)")
     return math.ceil(LOG2E * sum(c * ti for c, ti in zip(counts, t)))
-
-
-# -- paths ------------------------------------------------------------
-
-
-def left_branch_count(tree: CodeTree, value_index: int) -> int:
-    """Number of left turns on the path to value_index's leaf."""
-    path = tree.path_ids(value_index)
-    return sum(tree.nodes[above].left == below for above, below in zip(path, path[1:]))
 
 
 # -- structural inequalities ------------------------------------------
@@ -544,9 +655,11 @@ def tree_property_report(tree: CodeTree) -> TreePropertyReport:
     rhs = 1 + sum(Fraction(l, 1 << l) for l in depths)
     level_sum = lhs <= rhs
 
-    left_branch = all(
-        (1 << left_branch_count(tree, i)) <= b - i for i in range(b)
-    )
+    def left_turns(i: int) -> int:
+        path = tree.path_ids(i)
+        return sum(tree.nodes[above].left == below for above, below in zip(path, path[1:]))
+
+    left_branch = all((1 << left_turns(i)) <= b - i for i in range(b))
 
     return TreePropertyReport(
         path_difference_ok=path_diff,

@@ -227,8 +227,9 @@ class BloomMap:
     low - 1's path leaves the rows known set (-1 when low is 0).  Sizing,
     the bounds and the file digest read it; writing and both query forms
     step through its _ProbeTable for the map's m, compiled on first use.
-    The flat rows come from simple_ks; a tree map takes the rows its
-    tree's certification left (tree.rows), so a load builds them once.
+    The flat rows come from simple_ks and a tree map's from
+    codetree.plan_rows, straight from its leaf depths; tree is a CodeTree
+    view of them, built on first use (None on the flat layout).
     """
 
     def __init__(self, *, variant: str, dist: ValueDistribution, epsilon: float,
@@ -242,17 +243,22 @@ class BloomMap:
         self.epsilon = epsilon
         self.bits = bits
         self.n = n
-        self.tree = self.simple_ks = None
+        self.simple_ks = None
         if variant == "simple":
             self.simple_ks = simple_hash_counts(dist, epsilon)
             rows = _flat_rows(self.simple_ks)
         else:
-            self.tree = codetree.plan_tree(dist, epsilon, variant, custom)
-            rows = self.tree.rows
+            rows = codetree.plan_rows(dist, epsilon, variant, custom)[0]
         self._plan = rows
         self._probes: _ProbeTable | None = None  # compiled from _plan for m on first use
         self.family = HashFamily(seed, bits.m, max(row[1] for row in rows))
         self._pending: dict[bytes, int] | None = None if bits.frozen else {}
+
+    @cached_property
+    def tree(self) -> codetree.CodeTree | None:
+        """The code tree of a tree map's plan, built on first use; None on
+        the flat layout."""
+        return None if self.simple_ks is not None else codetree.tree_from_rows(self._plan)
 
     # -- shared geometry ----------------------------------------------
 
@@ -277,11 +283,14 @@ class BloomMap:
         """The map as one plain record: geometry, hash counts, each value's
         path weight, zero fraction and certified error bounds.
         bits_per_key is None while no key is stored."""
-        fp, mis, t = codetree.plan_bounds(self._plan)
-        if self.tree is not None:
+        rows = self._plan
+        fp, mis, t = codetree.plan_bounds(rows)
+        if self.simple_ks is None:
+            depth = codetree.row_depths(rows)
+            leaves = [r for r, row in enumerate(rows) if row[4] < 0]
             counts = {
-                "leaf_depths": self.tree.leaf_depths(),
-                "leaf_hash_counts": tuple(self.tree.nodes[i].k for i in self.tree.leaves),
+                "leaf_depths": tuple(depth[r] for r in leaves),
+                "leaf_hash_counts": tuple(rows[r][1] - rows[r][0] + 1 for r in leaves),
             }
         else:
             counts = {"hash_counts": self.simple_ks}

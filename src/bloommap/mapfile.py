@@ -5,7 +5,7 @@ its bit array; the code tree and every hash count follow from the first
 two.  A file stores only those, and load recomputes the plan with the
 builders' own code, so no stored shape or count is ever trusted.
 
-Layout, version 2 (all integers little-endian):
+Layout, version 3 (all integers little-endian):
 
     magic "BMAP" | version u8 | variant u8 | hash_algo u8 | reserved u8
     m u64 | n u64 | b u32 | epsilon f64 | master_seed u64 | plan u32
@@ -17,13 +17,15 @@ Layout, version 2 (all integers little-endian):
 
 Simple, standard and fast files state no hash count: the loaded map
 plans itself from (distribution, epsilon, variant), as a built one
-does.  Custom counts are certified again for the file's
-epsilon and must need no bump.  plan is a CRC-32 of the probe plan
-(BloomMap._plan) the map was saved with, taken over the segments each
-value adds to its predecessor's path; load rejects a file whose
-recomputed plan differs, so a later change to the planner cannot
-silently misread an older file.  Version 1 files stored the plan itself
-and do not load.
+does.  Custom counts, in tree_from_depths' node numbering, are certified
+again for the file's epsilon and must need no bump.  plan is a CRC-32 of
+the plan rows (BloomMap._plan) the map was saved with, packed row after
+row as their seven fields (first, last, offset, low, on_pass, on_fail,
+up), each a little-endian i64; load rejects a file whose recomputed plan
+differs, so a later change to the planner cannot silently misread an
+older file.  Version 3 plans tree maps from Huffman depths and packs the
+digest; version 2 planned by Garsia-Wachs and took a CRC of the plan's
+repr, version 1 stored the plan itself, and neither loads.
 
 hash_algo 1, double hashing from one 64-bit digest per key (hashing.py),
 is the only code written or read.  Files with code 0 set their bits by
@@ -45,7 +47,7 @@ from .errors import FormatError, InvalidDistribution, InvalidScheme, IoError
 __all__ = ["save", "load", "MAGIC", "VERSION"]
 
 MAGIC = b"BMAP"
-VERSION = 2
+VERSION = 3
 HASH_ALGO = 1
 
 _VARIANT_CODES = {"simple": 0, "standard": 1, "fast": 2, "custom": 3}
@@ -58,18 +60,8 @@ _CRC = struct.Struct("<I")
 
 
 def _plan_digest(bmap: BloomMap) -> int:
-    # the segments value i adds to value i - 1's path fix every path; in
-    # the preorder plan they are the rows with low == i, top-down, taken as
-    # (base_start, k, offset, i, keep) with keep the depth of the first
-    depth: list[int] = []
-    added: list[list[tuple]] = []
-    for first, last, offset, low, _, _, up in bmap._plan:
-        depth.append(depth[up] + 1 if up >= 0 else 0)
-        if low == len(added):
-            added.append([])
-            keep = depth[-1]
-        added[low].append((first - 1, last - first + 1, offset, low, keep))
-    return zlib.crc32(repr([tuple(segments) for segments in added]).encode())
+    words = [field for row in bmap._plan for field in row]
+    return zlib.crc32(struct.pack(f"<{len(words)}q", *words))
 
 
 # -- writing ----------------------------------------------------------

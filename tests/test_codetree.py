@@ -22,17 +22,20 @@ from bloommap import (
 )
 from bloommap.codetree import (
     _garsia_wachs_depths,
+    _tree_rows,
     analytic_error_bounds,
     assign_hash_counts,
     assign_offsets,
     certify_error_bounds,
     compute_geometry,
-    left_branch_count,
+    huffman_depths,
     plan_bounds,
-    plan_tree,
+    plan_rows,
     tree_from_depths,
+    tree_from_rows,
     tree_property_report,
 )
+from bloommap.core import _flat_rows, simple_hash_counts
 from bloommap.errors import InvalidScheme
 
 LOG2E = math.log2(math.e)
@@ -106,6 +109,80 @@ def test_sorted_inputs_still_optimal_after_canonicalization():
         assert got == optimal_cost(weights)
 
 
+@settings(max_examples=300, deadline=None)
+@given(weights=st.one_of(
+    st.lists(st.integers(1, 16), min_size=1, max_size=64),  # sixteenths: ties everywhere
+    st.lists(st.integers(1, 10 ** 6), min_size=1, max_size=64),
+))
+def test_huffman_cost_equals_garsia_wachs_on_sorted_weights(weights):
+    # on sorted weights an optimal alphabetic tree costs what Huffman's
+    # does; exact integer weights make the costs comparable with ==
+    weights = sorted(weights, reverse=True)
+    depths = huffman_depths(weights)
+    assert depths == sorted(depths)
+    assert sum(w * d for w, d in zip(weights, depths)) == \
+        sum(w * d for w, d in zip(weights, _garsia_wachs_depths(weights)))
+    tree_from_depths(depths)  # must describe a real tree
+
+
+def test_huffman_tie_rule_is_pinned():
+    # 1 + 1 ties leaf 2: taking the leaf first gives the balanced tree, the
+    # merged node first (1, 2, 3, 3) at the same cost; a load plans again,
+    # so a file's plan depends on which one the planner takes
+    assert huffman_depths([2, 1, 1, 1]) == [2, 2, 2, 2]
+    assert huffman_depths([2, 2, 1, 1]) == [2, 2, 2, 2]
+    assert build_alphabetic_tree(new_distribution([2, 1, 1, 1], "abcd")).leaf_depths() == \
+        (2, 2, 2, 2)
+
+
+def test_huffman_depths_equal_garsia_wachs_without_ties():
+    # the pinned plans and the workloads' distributions come out the same,
+    # so their plan rows and bits did not move with the planner
+    b = 10 ** 4
+    for weights in ([0.5, 0.25, 0.125, 0.125], [1 / 64] * 64,
+                    [0.9 ** i for i in range(40)], [0.95 ** i + 1e-9 for i in range(b)]):
+        d = new_distribution(weights, [f"v{i}" for i in range(len(weights))])
+        assert huffman_depths(d.probs) == sorted(_garsia_wachs_depths(d.probs))
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    scheme=st.sampled_from(["simple", "standard", "fast", "custom"]),
+    weights=st.lists(st.integers(1, 16), min_size=1, max_size=40),
+    eps_bits=st.integers(2, 16),
+    seed=st.integers(0, 2 ** 32 - 1),
+)
+def test_plan_rows_match_the_tree_path(scheme, weights, eps_bits, seed):
+    # the rows built straight from the depths against the tree oracle:
+    # tree_from_depths, level-order offsets, the scheme's counts and
+    # _tree_rows' preorder walk; the flat rows against their blocks
+    dist = new_distribution(weights, [f"v{i}" for i in range(len(weights))])
+    eps = 2.0 ** -eps_bits
+    custom = None
+    tree = tree_from_depths(huffman_depths(dist.probs))
+    assign_offsets(tree)
+    if scheme == "custom":
+        rnd = random.Random(seed)
+        assign_hash_counts(tree, eps, "fast")
+        custom = {n.index: n.k + rnd.randint(0, 2) for n in tree.nodes}
+    bmap = plan_tree_map(dist, eps, 0, scheme, n=len(weights), custom=custom)
+    if scheme == "simple":
+        ks, start, expect = simple_hash_counts(dist, eps), 0, []
+        for i, k in enumerate(ks):
+            expect.append([start + 1, start + k, 0, i, -1, i - 1, -1])
+            start += k
+        assert bmap._plan == expect == _flat_rows(ks)
+        return
+    assign_hash_counts(tree, eps, scheme, custom=custom)
+    assert bmap._plan == _tree_rows(tree) == plan_rows(dist, eps, scheme, custom)[0]
+    view = bmap.tree
+    assert [(n.index, n.parent, n.left, n.right, n.depth, n.offset, n.k, n.base_start,
+             n.value_index) for n in view.nodes] == \
+        [(n.index, n.parent, n.left, n.right, n.depth, n.offset, n.k, n.base_start,
+          n.value_index) for n in tree.nodes]
+    assert (view.root, view.leaves) == (tree.root, tree.leaves)
+
+
 def test_tree_from_depths_rejects_bad_sequences():
     with pytest.raises(ValueError):
         tree_from_depths((1, 1, 1))  # over-full
@@ -167,7 +244,7 @@ def test_single_node_tree():
     assert tree.nodes[tree.root].offset == 0
     assert tree.leaf_depths() == (0,)
     assert tree.path_ids(0) == (tree.root,)
-    assert left_branch_count(tree, 0) == 0
+    assert tree_property_report(tree).left_branch_ok
 
 
 # -- hash count schemes -----------------------------------------------
@@ -385,18 +462,20 @@ def test_plan_bounds_match_independent_sums(scheme, weights, eps_bits, seed):
     assert mis == pytest.approx(expect, rel=1e-12)
 
 
-def test_plan_tree_takes_custom_counts_as_stated():
+def test_plan_rows_take_custom_counts_as_stated():
     # assign_hash_counts bumps the lean counts above until they certify;
-    # plan_tree, which builds and loads maps, rejects them instead
+    # plan_rows, which builds and loads maps, rejects them instead
     eps = 2 ** -4
     d = uniform_distribution(4)
-    fast = plan_tree(d, eps, "fast")
-    lean = {n.index: (4 if n.is_leaf else 1) for n in fast.nodes}
+    fast, report = plan_rows(d, eps, "fast")
+    assert report.bumped == () and report.certified
+    nodes = tree_from_rows(fast).nodes
+    lean = {n.index: (4 if n.is_leaf else 1) for n in nodes}
     with pytest.raises(InvalidScheme, match="do not certify"):
-        plan_tree(d, eps, "custom", custom=lean)
-    tree = plan_tree(d, eps, "custom", custom={n.index: n.k for n in fast.nodes})
-    assert tree.certification.bumped == ()
-    assert [n.k for n in tree.nodes] == [n.k for n in fast.nodes]
+        plan_rows(d, eps, "custom", custom=lean)
+    rows, report = plan_rows(d, eps, "custom", custom={n.index: n.k for n in nodes})
+    assert report.bumped == ()
+    assert rows == fast
 
 
 # -- geometry ---------------------------------------------------------
@@ -434,8 +513,10 @@ def test_geometry_rejects_empty_and_bad_counts():
 def test_path_queries():
     tree = build_alphabetic_tree(new_distribution([2, 1, 1], "abc"))
     assert len(tree.path_ids(2)) == 3
-    assert left_branch_count(tree, 2) == 0  # rightmost leaf: no left turns
-    assert left_branch_count(tree, 0) <= math.log2(tree.b)
+    root = tree.nodes[tree.root]
+    assert tree.path_ids(2) == (tree.root, root.right, tree.leaves[2])  # no left turns
+    assert tree.path_ids(0) == (tree.root, root.left)  # one, at most log2(b)
+    assert tree_property_report(tree).left_branch_ok
 
 
 def test_structure_perfect_tree():

@@ -5,13 +5,12 @@ import random
 
 import pytest
 
-from bloommap import UnknownValue, new_distribution, uniform_distribution
+from bloommap import UnknownValue, build_tree, new_distribution, uniform_distribution
 from bloommap.distribution import integer_counts
 from bloommap.harness import (
     KEY_BYTES,
     ErrorReport,
     PMapSpec,
-    build_variant,
     build_with_discard,
     generate_pmap,
     measure,
@@ -55,15 +54,15 @@ def test_generate_rejects_empty():
 # -- variant dispatch -------------------------------------------------
 
 
-def test_build_variant_dispatch():
+def test_build_tree_dispatch():
     pairs = generate_pmap(PMapSpec(TERN, 200, seed=4))
     for variant in ("simple", "standard", "fast"):
-        bmap = build_variant(pairs, TERN, 2 ** -5, seed=2, variant=variant)
+        bmap = build_tree(pairs, TERN, 2 ** -5, seed=2, scheme=variant)
         assert bmap.variant == variant
         assert bmap.frozen
         assert (bmap.tree is None) == (variant == "simple")
     with pytest.raises(ValueError):
-        build_variant(pairs, TERN, 2 ** -5, seed=2, variant="turbo")
+        build_tree(pairs, TERN, 2 ** -5, seed=2, scheme="turbo")
 
 
 # -- discard builds ---------------------------------------------------
@@ -71,7 +70,7 @@ def test_build_variant_dispatch():
 
 def test_discard_zero_changes_nothing():
     pairs = generate_pmap(PMapSpec(TERN, 300, seed=5))
-    plain = build_variant(pairs, TERN, 2 ** -5, seed=9, variant="simple")
+    plain = build_tree(pairs, TERN, 2 ** -5, seed=9, scheme="simple")
     nodrop = build_with_discard(pairs, TERN, 2 ** -5, seed=9,
                                 variant="simple", discard_fraction=0.0)
     assert nodrop.n == plain.n == 300
@@ -131,7 +130,7 @@ def test_discard_is_deterministic():
 
 def test_measure_counts_and_rates():
     pairs = generate_pmap(PMapSpec(TERN, 400, seed=9))
-    bmap = build_variant(pairs, TERN, 2 ** -5, seed=4, variant="fast")
+    bmap = build_tree(pairs, TERN, 2 ** -5, seed=4, scheme="fast")
     report = measure(bmap, pairs, neg_samples=2000, seed=10)
     assert isinstance(report, ErrorReport)
     assert report.pos_counts == integer_counts(TERN, 400)
@@ -194,7 +193,7 @@ def test_measure_matches_a_scalar_tally(variant):
     # negatives common, so every tally is exercised
     dist = new_distribution([5, 3, 2, 1, 1], "abcde")
     pairs = generate_pmap(PMapSpec(dist, 600, seed=3))
-    for bmap in (build_variant(pairs, dist, 2 ** -2, 4, variant),
+    for bmap in (build_tree(pairs, dist, 2 ** -2, 4, variant),
                  build_with_discard(pairs, dist, 2 ** -3, 4, variant, 0.2)):
         report = measure(bmap, pairs, 1200, seed=5)
         assert report == _scalar_measure(bmap, pairs, 1200, seed=5)
@@ -212,7 +211,7 @@ def test_measure_draws_the_absent_keys_one_draw_per_key_gives():
     draws = [rnd.randbytes(KEY_BYTES) for _ in range(neg + 2)]
     taken = {draws[3], draws[700]}
     pairs = generate_pmap(PMapSpec(TERN, 300, seed=9)) + [(draws[3], b"a"), (draws[700], b"c")]
-    bmap = build_variant(pairs, TERN, 2 ** -4, seed=4, variant="standard")
+    bmap = build_tree(pairs, TERN, 2 ** -4, seed=4, scheme="standard")
     batches = []
     query_many = bmap.query_many
     bmap.query_many = lambda keys: batches.append(list(keys)) or query_many(keys)
@@ -227,21 +226,21 @@ def test_measure_draws_the_absent_keys_one_draw_per_key_gives():
 
 def test_measure_is_deterministic():
     pairs = generate_pmap(PMapSpec(TERN, 200, seed=11))
-    bmap = build_variant(pairs, TERN, 2 ** -5, seed=5, variant="simple")
+    bmap = build_tree(pairs, TERN, 2 ** -5, seed=5, scheme="simple")
     assert measure(bmap, pairs, 1500, seed=12) == measure(bmap, pairs, 1500, seed=12)
     assert measure(bmap, pairs, 1500, seed=12) != measure(bmap, pairs, 1500, seed=13)
 
 
 def test_measure_requires_enough_negatives():
     pairs = generate_pmap(PMapSpec(TERN, 50, seed=1))
-    bmap = build_variant(pairs, TERN, 2 ** -4, seed=1, variant="simple")
+    bmap = build_tree(pairs, TERN, 2 ** -4, seed=1, scheme="simple")
     with pytest.raises(ValueError):
         measure(bmap, pairs, neg_samples=999, seed=2)
 
 
 def test_measure_labels_resolve_like_the_builders():
     pairs = generate_pmap(PMapSpec(TERN, 50, seed=1))
-    bmap = build_variant(pairs, TERN, 2 ** -4, seed=1, variant="simple")
+    bmap = build_tree(pairs, TERN, 2 ** -4, seed=1, scheme="simple")
     text_pairs = [(key, label.decode()) for key, label in pairs]
     assert measure(bmap, text_pairs, 1000, seed=2) == measure(bmap, pairs, 1000, seed=2)
     with pytest.raises(UnknownValue, match="zzz"):

@@ -23,7 +23,7 @@ from bloommap import (
     save,
     uniform_distribution,
 )
-from bloommap.codetree import _leaf_floor, plan_tree
+from bloommap.codetree import _leaf_floor, plan_rows, tree_from_rows
 from bloommap.core import VARIANTS, build_simple, build_tree, plan_tree_map
 from bloommap.harness import PMapSpec, generate_pmap
 from bloommap.mapfile import _FIXED, _VARIANT_CODES
@@ -185,6 +185,17 @@ def test_targeted_field_corruptions():
         load(io.BytesIO(bytes(broken)))
 
 
+def test_version_2_files_are_rejected():
+    # version 2 planned by Garsia-Wachs and digested the plan's repr, and
+    # no planner for it is kept: its files fail on the version, by name
+    _, maps = _maps()
+    for bmap in maps.values():
+        data = _saved(bmap)
+        assert data[4] == 3
+        with pytest.raises(FormatError, match=r"version: 2 not supported \(expected 3\)"):
+            load(io.BytesIO(_patched(data, 4, bytes([2]))))
+
+
 def test_plan_fingerprint_checked():
     # the header's last field is the digest of the plan the map was saved
     # with; a file whose recomputed plan differs must not load
@@ -204,9 +215,11 @@ _PINNED_DISTS = {
                                     [f"v{i}" for i in range(40)]),
 }
 
-# plan digests of maps saved by format version 2 as first released; a
-# planner change that moves any of them would stop those files loading
-_PINNED_PLANS = {
+# plan digests of these maps in version 2 files as first released: a
+# CRC-32 of the repr of the segments each value adds to its predecessor's
+# path, which _v2_digest takes over today's rows.  Matching them shows the
+# Huffman planner left every one of these plans where Garsia-Wachs put it
+_V2_PLANS = {
     ("abcd", "simple"): 0xFBD70CDD,
     ("abcd", "standard"): 0x5C00BFB2,
     ("abcd", "fast"): 0xF015DE7E,
@@ -220,6 +233,36 @@ _PINNED_PLANS = {
     ("geometric40", "fast"): 0xE94E0F9B,
     ("geometric40", "custom"): 0x36C20D58,
 }
+
+# the plan field of the same maps in version 3 files; a planner change
+# that moves any of them would stop those files loading
+_PINNED_PLANS = {
+    ("abcd", "simple"): 0x71F0DBD1,
+    ("abcd", "standard"): 0xC9F2834D,
+    ("abcd", "fast"): 0xB918E08F,
+    ("abcd", "custom"): 0x1FB4A7AE,
+    ("uniform64", "simple"): 0x8FD49CBD,
+    ("uniform64", "standard"): 0xAB567808,
+    ("uniform64", "fast"): 0xBB91272C,
+    ("uniform64", "custom"): 0xBC0D86FE,
+    ("geometric40", "simple"): 0x2227F653,
+    ("geometric40", "standard"): 0x03D140A9,
+    ("geometric40", "fast"): 0x33C9A5D1,
+    ("geometric40", "custom"): 0x01403B0A,
+}
+
+
+def _v2_digest(rows) -> int:
+    """Version 2's plan digest: per value, the rows with low == i, top-down,
+    as (base_start, k, offset, i, keep), keep the depth of the first."""
+    depth, added = [], []
+    for first, last, offset, low, _, _, up in rows:
+        depth.append(depth[up] + 1 if up >= 0 else 0)
+        if low == len(added):
+            added.append([])
+            keep = depth[-1]
+        added[low].append((first - 1, last - first + 1, offset, low, keep))
+    return zlib.crc32(repr([tuple(segments) for segments in added]).encode())
 
 
 def _pinned_map(dist_name, variant):
@@ -237,6 +280,7 @@ def _pinned_map(dist_name, variant):
 @pytest.mark.parametrize("dist_name, variant", sorted(_PINNED_PLANS))
 def test_plan_digest_is_pinned(dist_name, variant):
     bmap = _pinned_map(dist_name, variant)
+    assert _v2_digest(bmap._plan) == _V2_PLANS[dist_name, variant]
     data = _saved(bmap)
     (plan,) = struct.unpack_from("<I", data, _FIXED.size - 4)
     assert plan == _PINNED_PLANS[dist_name, variant]
@@ -267,7 +311,7 @@ def test_lean_custom_counts_do_not_certify():
     # at epsilon 2^-4, so a file that states them is rejected, not repaired
     d = uniform_distribution(4)
     eps = 2 ** -4
-    fast = plan_tree(d, eps, "fast")
+    fast = tree_from_rows(plan_rows(d, eps, "fast")[0])
     bmap = build_tree([(f"k{i}", f"v{i % 4}") for i in range(40)], d, eps, seed=3,
                       scheme="custom", custom={n.index: n.k for n in fast.nodes})
     data = _saved(bmap)
@@ -284,7 +328,7 @@ def test_large_files_are_judged_in_planner_time():
     # bump loop run before rejecting, took seconds to minutes at these b
     eps = 2 ** -7
     b = 1024
-    fast = plan_tree(uniform_distribution(b), eps, "fast")
+    fast = tree_from_rows(plan_rows(uniform_distribution(b), eps, "fast")[0])
     bmap = plan_tree_map(uniform_distribution(b), eps, seed=1, scheme="custom", n=b,
                          custom={n.index: n.k for n in fast.nodes})
     bmap.freeze()
@@ -305,6 +349,24 @@ def test_large_files_are_judged_in_planner_time():
     back = load(io.BytesIO(data))
     assert time.perf_counter() - start < 2.0
     assert back.describe() == bmap.describe()
+
+
+def test_b_100k_loads_in_linear_time():
+    # a standard file of 10^5 values whose weights end in a uniform tail:
+    # on a 2-core x86-64 machine, quadratic Garsia-Wachs planning through a
+    # tree of nodes loaded it in 4-8 s, and the Huffman depths with the
+    # rows built straight from them in 0.5-0.7 s
+    b = 10 ** 5
+    weights = [0.9 ** i for i in range(64)] + [0.9 ** 64] * (b - 64)
+    dist = new_distribution(weights, [f"v{i}" for i in range(b)])
+    bmap = plan_tree_map(dist, 2 ** -7, seed=1, scheme="standard", n=b)
+    bmap.freeze()
+    data = _saved(bmap)
+    start = time.perf_counter()
+    back = load(io.BytesIO(data))
+    assert time.perf_counter() - start < 2.0
+    assert back._plan == bmap._plan
+    assert len(back._plan) == 2 * b - 1
 
 
 def test_large_b_loads_in_linear_memory():
