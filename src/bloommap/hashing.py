@@ -13,10 +13,17 @@ map probing t positions per key pays for one key hash, not t.  The first
 round reads only the seed and the length, so a HashFamily keeps it per
 key length and a lookup runs the absorb loop alone.
 
-A numpy batch path digests a list of keys of any lengths at once, one
-pass per 8-byte word count, and agrees bit for bit with the scalar path
-for every range size m, including m >= 2**32.  Only that path imports
-numpy, on its first call, so a one-shot scalar lookup never loads it.
+A numpy batch path digests a list of keys of any lengths at once and
+agrees bit for bit with the scalar path for every range size m,
+including m >= 2**32.  It absorbs keys of adjacent 8-byte word counts
+together, one zero-padded word matrix a group, a column at a time, and
+keys whose words have run out keep their value through a mask.  A group
+takes in the next word count only while its matrix stays within twice
+the words of its keys, so its memory is at most twice the keys' own and
+one long key cannot pad the short ones to its length: 8-64 byte keys
+form one group of 8 columns, not 8 groups, and 16-byte keys one group of
+2.  Only that path imports numpy, on its first call, so a one-shot
+scalar lookup never loads it.
 """
 
 from __future__ import annotations
@@ -170,12 +177,20 @@ class HashFamily:
 
     def digest_batch(self, keys) -> tuple[np.ndarray, np.ndarray]:
         """(h1, h2) for every byte string in a list of keys of any lengths,
-        as two uint64 arrays.
+        as two uint64 arrays."""
+        h1 = self._h1_batch(keys)
+        return h1, step_of(h1)
 
-        Keys are absorbed in groups of equal 8-byte word count, each packed
-        into a zero-padded little-endian word matrix through a numpy bytes
-        array; every key's chain starts from its own length, as in
-        keyed_hash64, so one group serves keys of up to eight lengths.
+    def _h1_batch(self, keys) -> np.ndarray:
+        """The h1 digest of every key in a list, as one uint64 array.
+
+        Keys are absorbed in groups of adjacent 8-byte word counts, each
+        packed into one zero-padded little-endian word matrix through a
+        numpy bytes array and absorbed a column at a time; a key whose
+        words have run out keeps its value through a mask.  A group grows
+        while its matrix holds at most twice the words of its keys, so no
+        long key pads many short ones.  Every key's chain starts from its
+        own length, as in keyed_hash64.
         """
         import numpy as np
 
@@ -184,18 +199,27 @@ class HashFamily:
         words = (lengths + 7) >> 3
         sizes = np.bincount(words, minlength=1)
         sizes[0] = 0  # an empty key absorbs no word
-        for count in np.flatnonzero(sizes).tolist():
-            if sizes[count] == len(keys):
-                rows, group = slice(None), keys
+        counts = np.flatnonzero(sizes)
+        groups: list[list[int]] = []  # fewest and most words, keys, words held
+        for count, size in zip(counts.tolist(), sizes[counts].tolist()):
+            if groups and (groups[-1][2] + size) * count <= 2 * (groups[-1][3] + size * count):
+                groups[-1][1:] = count, groups[-1][2] + size, groups[-1][3] + size * count
             else:
-                rows = np.flatnonzero(words == count)
+                groups.append([count, count, size, size * count])
+        for fewest, most, size, _ in groups:
+            if size == len(keys):
+                rows, group, have = slice(None), keys, words
+            else:
+                rows = np.flatnonzero((words >= fewest) & (words <= most))
                 group = [keys[i] for i in rows.tolist()]
-            packed = np.array(group, dtype=f"S{8 * count}").view("<u8").reshape(-1, count)
+                have = words[rows]
+            packed = np.array(group, dtype=f"S{8 * most}").view("<u8").reshape(-1, most)
             h = h1[rows]
-            for col in range(count):
-                h = _fmix64_np(h ^ packed[:, col])
+            for col in range(most):
+                mixed = _fmix64_np(h ^ packed[:, col])
+                h = mixed if col < fewest else np.where(have > col, mixed, h)
             h1[rows] = h
-        return h1, step_of(h1)
+        return h1
 
     def base_hash_batch(self, j, h1: np.ndarray, h2: np.ndarray) -> np.ndarray:
         """Vectorized base_hash over digest_batch output; identical outputs.

@@ -45,7 +45,14 @@ from bloommap.codetree import (
     build_alphabetic_tree,
     size_bit_array,
 )
-from bloommap.core import CHUNK, BitArray, _tally, simple_analytic_bounds, simple_hash_counts
+from bloommap.core import (
+    CHUNK,
+    BitArray,
+    _ProbeTable,
+    _tally,
+    simple_analytic_bounds,
+    simple_hash_counts,
+)
 from bloommap.harness import PMapSpec, build_variant, generate_pmap
 from bloommap.hashing import HashFamily
 
@@ -549,15 +556,15 @@ def test_keys_sharing_a_digest_are_both_kept(monkeypatch):
     # force b to digest exactly as a: the two are still distinct keys, so
     # neither is dropped as a repeat nor refused as a conflict
     a, b = b"shared-digest-a", b"shared-digest-b, a longer key"
-    digest_batch = HashFamily.digest_batch
+    h1_batch = HashFamily._h1_batch  # the tally's digest, and digest_batch's
 
     def forced(self, keys):
-        h1, h2 = digest_batch(self, keys)
+        h1 = h1_batch(self, keys)
         twin = [pos for pos, key in enumerate(keys) if key == b]
-        h1[twin], h2[twin] = digest_batch(self, [a] * len(twin))
-        return h1, h2
+        h1[twin] = h1_batch(self, [a] * len(twin))
+        return h1
 
-    monkeypatch.setattr(HashFamily, "digest_batch", forced)
+    monkeypatch.setattr(HashFamily, "_h1_batch", forced)
     others = [(f"k{t}".encode(), SKEW.labels[t % 4]) for t in range(3 * CHUNK // 2)]
     for label in (b"a", b"c"):
         pairs = [(a, b"a")] + others + [(b, label), (a, b"a")]
@@ -801,21 +808,46 @@ def _assert_batch_matches_scalar(bmap, keys):
     eps_bits=st.integers(2, 8),
     seed=st.integers(0, 2 ** 32 - 1),
     fill=st.sampled_from([0.0, 0.3, 0.5, 0.7, 0.9, 1.0]),
+    lengths=st.lists(st.integers(0, 200), max_size=40),
 )
-def test_query_many_matches_query(variant, weights, eps_bits, seed, fill):
+@example(variant="standard", weights=[1], eps_bits=5, seed=0, fill=0.0, lengths=[0, 200])
+@example(variant="simple", weights=[1] * 64, eps_bits=5, seed=1, fill=1.0, lengths=[8, 64])
+def test_query_many_matches_query(variant, weights, eps_bits, seed, fill, lengths):
+    # batches mix key lengths from 0 to 200 bytes and repeat keys; the
+    # empty batch, single-key batches and a batch whose keys all end at
+    # their first probe answer alike
     rnd = random.Random(seed)
     b = len(weights)
     d = new_distribution(weights, [f"v{i}" for i in range(b)])
     eps = 2.0 ** -eps_bits
-    pairs = [(f"k{t}".encode(), d.labels[rnd.randrange(b)]) for t in range(rnd.randint(1, 3 * b))]
+    stored = [f"k{t}".encode() for t in range(rnd.randint(1, 3 * b))]
+    stored = list(dict.fromkeys(stored + [rnd.randbytes(n) for n in lengths]))
+    pairs = [(key, d.labels[rnd.randrange(b)]) for key in stored]
     if variant == "simple":
         bmap = build_simple(pairs, d, eps, seed)
     else:
         custom = _custom_counts(d, eps, rnd) if variant == "custom" else None
         bmap = build_tree(pairs, d, eps, seed, variant, custom=custom)
     _with_noise(bmap, fill, seed)
-    keys = [key for key, _ in pairs] + [f"absent-{t}".encode() for t in range(20)]
+    keys = stored + [f"absent-{t}".encode() for t in range(20)]
+    keys += [rnd.randbytes(rnd.randint(0, 200)) for _ in range(20)]
+    keys += rnd.choices(keys, k=10)
     _assert_batch_matches_scalar(bmap, keys)
+    _assert_batch_matches_scalar(bmap, [])
+    for key in keys[:5]:
+        _assert_batch_matches_scalar(bmap, [key])
+    _assert_batch_matches_scalar(bmap, [key for key in keys if bmap.query(key).probes == 1])
+
+
+def test_query_many_ends_at_the_first_probe_on_an_empty_tree_map():
+    # no key is stored, so every walk ends at the root's first zero bit
+    for scheme in ("standard", "fast"):
+        bmap = plan_tree_map(SKEW, 2 ** -7, seed=4, scheme=scheme, n=100)
+        bmap.freeze()
+        keys = [bytes([t % 256]) * (t % 90) for t in range(300)]
+        found, probes = bmap.query_many(keys)
+        assert found.tolist() == [-1] * 300 and probes.tolist() == [1] * 300
+        _assert_batch_matches_scalar(bmap, keys)
 
 
 def test_query_many_edge_keys():
@@ -912,11 +944,13 @@ def test_walk_tables_hold_one_row_per_segment(variant):
     bmap = build_variant(pairs, d, 2 ** -5, 3, variant)
     rows = len(bmap._plan)
     assert rows == (d.b if variant == "simple" else len(bmap.tree.nodes)) <= 2 * d.b - 1
-    # the probe table holds one entry per probe of every row
-    table = bmap._table()
+    # the probe table holds one entry per probe of every row, and the
+    # batch walk's columns b + 1 sinks past them
+    table = bmap._table().batch
     entries = sum(last - first + 1 for first, last, *_ in bmap._plan)
-    assert all(len(column) == entries for column in (table.j, table.offset, table.up))
-    assert len(table.nxt) == 2 * entries and len(table.leaf) == d.b
+    assert table.sink == len(table.up) == entries
+    assert len(table.j) == len(table.offset) == entries + d.b + 1
+    assert len(table.nxt) == 2 * (entries + d.b + 1) and len(table.leaf) == d.b
     # query_many hashes table.j unchecked, so every index must lie in 1..k
     assert 1 <= int(table.j.min()) and int(table.j.max()) <= bmap.family.k
 
@@ -944,6 +978,60 @@ def test_walk_tables_hold_one_row_per_segment(variant):
         else:
             nodes = [bmap.tree.nodes[w] for w in reversed(bmap.tree.path_ids(i))]
             assert segments == [(n.base_start + 1, n.base_start + n.k, n.offset) for n in nodes]
+
+
+def _entry_columns(rows, m):
+    """The probe table built one entry at a time: (j, offset, nxt, up,
+    leaf, top), a walk's end in nxt written as -2 - answer (-1: absent)."""
+    starts = [0]
+    for first, last, *_ in rows:
+        starts.append(starts[-1] + last - first + 1)
+    js, offsets, nxt, ups, leaves = [], [], [], [], []
+    top = None
+    for r, (first, last, offset, low, on_pass, on_fail, up) in enumerate(rows):
+        for j in range(first, last + 1):
+            end = j == last
+            js.append(j)
+            offsets.append(offset % m)
+            nxt.append(starts[on_fail] if on_fail >= 0 else -1)
+            if not end:
+                nxt.append(len(js))
+            else:
+                nxt.append(starts[on_pass] if on_pass >= 0 else -2 - low)
+            ups.append(len(js) if not end else starts[up] if up >= 0 else -1)
+        if on_pass < 0:
+            leaves.append(starts[r])
+        if up < 0:
+            top = starts[r]
+    return js, offsets, nxt, ups, leaves, top
+
+
+@pytest.mark.parametrize("variant", ["simple", "standard", "fast", "custom"])
+def test_batch_columns_equal_the_entry_lists(variant):
+    # the numpy columns, made from the rows at once, hold the table built
+    # entry by entry and then b + 1 sinks: sink + 1 + i answers value i,
+    # sink itself absent, and both links of a sink lead back to it
+    for weights in ([1], [0.5, 0.25, 0.125, 0.125], [0.9 ** i for i in range(40)], [1] * 64):
+        b = len(weights)
+        d = new_distribution(weights, [f"v{i}" for i in range(b)])
+        custom = _custom_counts(d, 2 ** -7, random.Random(b)) if variant == "custom" else None
+        bmap = BloomMap(variant=variant, dist=d, epsilon=2 ** -7, seed=1,
+                        bits=BitArray(1), custom=custom)
+        for m in (1, 7, 100, 2 ** 40 + 3):
+            compiled = _ProbeTable(bmap._plan, m)
+            table = compiled.batch
+            js, offsets, nxt, ups, leaves, top = _entry_columns(bmap._plan, m)
+            sink = len(js)
+            assert compiled.lists == (js, offsets, nxt, top)
+            assert table.sink == sink and table.top == top
+            assert table.j.dtype == table.offset.dtype == np.uint64
+            assert table.nxt.dtype == table.up.dtype == table.leaf.dtype == np.int64
+            assert table.j.tolist() == js + [1] * (b + 1)
+            assert table.offset.tolist() == offsets + [0] * (b + 1)
+            links = [t if t >= 0 else sink - 1 - t for t in nxt]
+            sinks = [s for s in range(sink, sink + b + 1) for _ in "01"]
+            assert table.nxt.tolist() == links + sinks
+            assert table.up.tolist() == ups and table.leaf.tolist() == leaves
 
 
 def test_probe_table_follows_the_m_freeze_sizes():

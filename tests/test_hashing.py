@@ -3,6 +3,7 @@ and the offset composition used at tree nodes."""
 
 import math
 import random
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -137,6 +138,39 @@ def test_batch_matches_scalar():
         assert HashFamily(5, 97, 1).digest_batch(same)[0].tolist() == [
             keyed_hash64(5, key) for key in same
         ]
+
+
+@settings(max_examples=200, deadline=None)
+@given(keys=st.lists(st.binary(max_size=300), max_size=40),
+       repeats=st.lists(st.integers(0, 39), max_size=10),
+       seed=st.integers(0, _MASK64))
+@example(keys=[bytes(n) for n in (0, 8, 9, 16, 64, 65, 200, 300)] * 3, repeats=[0, 5], seed=1)
+@example(keys=[b"x" * 8] * 30 + [b"y" * 300], repeats=[30], seed=2)
+def test_digest_batch_equals_keyed_hash_on_mixed_lengths(keys, repeats, seed):
+    # one batch mixes 0-300 byte keys, so word counts far apart fall in
+    # separate groups and near ones share a matrix, with repeated keys
+    keys = keys + [keys[i] for i in repeats if i < len(keys)]
+    h1, h2 = HashFamily(seed, 97, 1).digest_batch(keys)
+    want = [keyed_hash64(seed, key) for key in keys]
+    assert h1.tolist() == want
+    assert h2.tolist() == [_fmix64(h) | 1 for h in want]
+
+
+def test_digest_batch_memory_stays_near_the_keys_words():
+    # a matrix holds at most twice its keys' words, so one 16 KiB key
+    # does not pad 1,023 eight-byte keys to its length (16 MiB)
+    keys = [i.to_bytes(8, "little") for i in range(1023)] + [bytes(range(256)) * 64]
+    fam = HashFamily(9, 1000, 3)
+    want = [keyed_hash64(9, key) for key in keys]
+    fam.digest_batch(keys[:2])  # numpy and the operands are loaded before tracing
+    tracemalloc.start()
+    try:
+        h1, _ = fam.digest_batch(keys)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert h1.tolist() == want
+    assert peak < 2 ** 18
 
 
 def test_batch_positions_match_scalar():

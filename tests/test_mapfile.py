@@ -406,7 +406,7 @@ def test_large_b_first_queries_compile_the_probe_table_in_bounds():
         start = time.perf_counter()
         lookup()
         assert time.perf_counter() - start < 1.0
-    assert len(back._table().j) == 129_999
+    assert back._table().batch.sink == 129_999 and len(back._table().batch.j) == 129_999 + b + 1
     tracemalloc.start()
     try:
         back = load(io.BytesIO(data))
