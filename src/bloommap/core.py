@@ -119,7 +119,12 @@ class BitArray:
         A fancy-index OR keeps only one of the writes to a byte that
         several positions share, so the positions whose bit did not land
         are OR-ed again until none is left; each round lands at least one
-        per byte.  It costs about half what np.bitwise_or.at does.
+        per byte.  Once checked, every position is below m < 2^63, so the
+        loop indexes through an int64 view of them: numpy converts a
+        uint64 index on every gather and scatter, so 4,096 positions into
+        15.5 Mbit took 70 us by uint64 index and 44 us by int64.
+        np.bitwise_or.at took 81-84 us by either (numpy 2.4.6, best of
+        7 x 200 calls).
         """
         if self._frozen:
             raise FrozenError("bit array is frozen")
@@ -128,6 +133,7 @@ class BitArray:
         pos = np.asarray(positions, dtype=np.uint64)
         if pos.size and int(pos.max()) >= self.m:
             raise IndexError(f"bit position {int(pos.max())} outside 0..{self.m - 1}")
+        pos = pos.view(np.int64)
         view = np.frombuffer(self._buf, dtype=np.uint8)
         byte, bit = pos >> 3, np.left_shift(np.uint8(1), (pos & 7).astype(np.uint8))
         while byte.size:
@@ -384,10 +390,14 @@ class BloomMap:
 
     def _write(self, h1: np.ndarray, h2: np.ndarray, values: np.ndarray) -> None:
         """Set the bits of one chunk of keys, given their digests and value
-        indices: each key climbs the probe table from its value's leaf
-        entry, one probe a step, as query_many walks down; a step's
-        positions are OR-ed into the array and dropped, so no more than
-        one chunk's are ever held.
+        indices (int64 from freeze(), the tally's narrow unsigned column
+        from the builders): each key climbs the probe table from its
+        value's leaf entry, one probe a step, as query_many walks down; a
+        step's positions are OR-ed into the array and dropped, so no more
+        than one chunk's are ever held.
+        A step calls base_hash_batch and set_many, checks and all: a write
+        that inlined them gained only 4-6%, and it would hide the hashing
+        and setting-bits stages from perfbench's per-layer trace.
         """
         import numpy as np
 
@@ -576,20 +586,26 @@ def _tally(pairs, dist: ValueDistribution, seed: int):
     digest and value index of each distinct pair, as two arrays, with
     each value's count of keys.
 
-    Repeats are found by sorting the digests, and key bytes are compared
-    only among keys whose h1 another key shares: a repeated pair is
-    dropped, a key repeated with another value raises DuplicateKey, and
-    distinct keys with equal digests are both kept.
+    Value indices are held in the narrowest unsigned dtype that fits
+    0..b - 1, one byte a key for b <= 256 rather than eight: a build
+    from a list of 10^5 or 10^6 pairs peaks near 26 B/key under
+    tracemalloc, not 33, mostly the key list, the uint64 digests and
+    _repeats' sorted copy of them.  Repeats are found by
+    sorting the digests, and key bytes are compared only among keys
+    whose h1 another key shares: a repeated pair is dropped, a key
+    repeated with another value raises DuplicateKey, and distinct keys
+    with equal digests are both kept.
     """
     import numpy as np
 
     digest = HashFamily(seed, 1, 0)._h1_batch  # a digest reads only the seed
+    value_type = np.min_scalar_type(dist.b - 1)
     pairs = iter(pairs)
     keys: list[bytes] = []
     h1s, indices = [], []
     while chunk := list(islice(pairs, CHUNK)):
         chunk_keys = _as_keys([key for key, _ in chunk])
-        indices.append(dist.indices_of([label for _, label in chunk]))
+        indices.append(dist.indices_of([label for _, label in chunk]).astype(value_type))
         h1s.append(digest(chunk_keys))
         keys += chunk_keys
     if not keys:

@@ -230,11 +230,14 @@ class HashFamily:
         import numpy as np
 
         if isinstance(j, np.ndarray):
-            if j.size and not (1 <= j.min() and j.max() <= self.k):
+            js = j.astype(np.uint64, copy=False)
+            # one pass: as uint64, j - 1 wraps j = 0 and negative j above k
+            if js.size and int((js - 1).max()) >= self.k:
                 raise IndexError(f"hash indices {j.min()}..{j.max()} outside 1..{self.k}")
-        elif not 1 <= j <= self.k:
+            return self._hash_at(js, h1, h2)
+        if not 1 <= j <= self.k:
             raise IndexError(f"hash index {j} outside 1..{self.k}")
-        return self._hash_at(np.asarray(j, dtype=np.uint64), h1, h2)
+        return self._hash_at(np.uint64(j), h1, h2)
 
     def _hash_at(self, j: np.ndarray, h1: np.ndarray, h2: np.ndarray) -> np.ndarray:
         """base_hash_batch without its range check or conversion, for a

@@ -14,6 +14,7 @@ import math
 import random
 import sys
 import threading
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -88,18 +89,31 @@ def test_bit_array_ctor_validation():
 
 
 def test_set_many_matches_scalar_sets():
+    # as a list, a uint64 array or an int64 array; 5,000 positions into a
+    # few bytes collide in every byte, so the write loop runs many rounds
     rnd = random.Random(3)
-    for m in (1, 7, 64, 1000):
-        positions = [rnd.randrange(m) for _ in range(min(m, 200))]
+    for m, count in ((1, 1), (7, 7), (64, 64), (1000, 200), (1, 5000), (9, 5000), (64, 5000)):
+        positions = [rnd.randrange(m) for _ in range(count)]
         a = BitArray(m)
         for p in positions:
             a.set_bit(p)
-        b = BitArray(m)
-        b.set_many(np.array(positions, dtype=np.uint64))
-        assert a.to_bytes() == b.to_bytes()
+        for batch in (positions, np.array(positions, dtype=np.uint64),
+                      np.array(positions, dtype=np.int64)):
+            b = BitArray(m)
+            b.set_many(batch)
+            assert a.to_bytes() == b.to_bytes()
     empty = BitArray(10)
-    empty.set_many(np.array([], dtype=np.uint64))
+    for batch in ([], np.array([], dtype=np.uint64), np.array([], dtype=np.int64)):
+        empty.set_many(batch)
     assert empty.ones() == 0
+
+
+def test_set_many_refuses_positions_outside_the_array():
+    bits = BitArray(9)
+    for batch in ([9], np.array([3, 9], dtype=np.uint64), np.array([3, -1], dtype=np.int64)):
+        with pytest.raises(IndexError):
+            bits.set_many(batch)
+    assert bits.ones() == 0  # every position is checked before one is set
 
 
 def test_frozen_bit_array_keeps_its_count():
@@ -129,8 +143,9 @@ def test_frozen_bit_array_rejects_writes():
     assert bits.frozen
     with pytest.raises(FrozenError):
         bits.set_bit(4)
-    with pytest.raises(FrozenError):
-        bits.set_many([1])
+    for batch in ([1], [], np.array([1], dtype=np.int64)):
+        with pytest.raises(FrozenError):
+            bits.set_many(batch)
     assert bits.get_bit(3) == 1  # reads still fine
 
 
@@ -575,6 +590,58 @@ def test_keys_sharing_a_digest_are_both_kept(monkeypatch):
             bmap = build(pairs, SKEW, 2 ** -5, seed=3)
             assert bmap.n == len(others) + 2
             assert bmap.bits.to_bytes() == _reference_bits(bmap, want)
+
+
+@pytest.mark.parametrize("b, value_type", [(1, np.uint8), (300, np.uint16)])
+def test_narrow_value_columns_write_the_reference_bits(b, value_type):
+    # the tally holds value indices in the narrowest dtype that fits
+    # 0..b - 1; over two chunks, from a list or a generator, both layouts
+    # still write the reference bits
+    dist = uniform_distribution(b)
+    rnd = random.Random(b)
+    keys = list(dict.fromkeys(rnd.randbytes(rnd.randint(8, 24)) for _ in range(CHUNK + 300)))
+    picks = [rnd.randrange(b) for _ in keys]
+    pairs = [(key, dist.labels[i]) for key, i in zip(keys, picks)]
+    _, values, counts = _tally(pairs, dist, 5)
+    assert values.dtype == value_type and sum(counts) == len(keys)
+    for variant in ("simple", "standard"):
+        want = None
+        for source in (pairs, iter(pairs)):
+            bmap = build_tree(source, dist, 2 ** -6, seed=5, scheme=variant)
+            want = want or _reference_bits(bmap, list(zip(keys, picks)))
+            assert bmap.n == len(keys)
+            assert bmap.bits.to_bytes() == want
+
+
+def test_duplicate_key_raises_at_the_first_conflict_in_input_order():
+    # x conflicts before y in input order, though y was stored first; the
+    # error names x and its indices, read back from a uint16 value column
+    dist = uniform_distribution(300)
+    x, y = b"key-x", b"key-y"
+    filler = [(f"f{t}".encode(), dist.labels[t % 300]) for t in range(CHUNK)]
+    pairs = [(y, b"v7"), (x, b"v299")] + filler + [(x, b"v1"), (y, b"v8")]
+    for build in (build_simple, build_tree):
+        for source in (pairs, iter(pairs)):
+            with pytest.raises(DuplicateKey, match=r"b'key-x' already stored with value index 299, not 1"):
+                build(source, dist, 2 ** -5, seed=3)
+
+
+def test_batch_build_peak_memory_per_key():
+    # a build from a list holds the key list, the uint64 h1 digests and a
+    # one-byte value column: about 27.5 B/key under tracemalloc, bit array
+    # included, where an int64 value column read 34.5
+    rnd = random.Random(34)
+    n = 30_000
+    keys = [rnd.randbytes(16) for _ in range(n)]
+    pairs = list(zip(keys, rnd.choices(SKEW.labels, weights=SKEW.probs, k=n)))
+    build_tree(pairs[:100], SKEW, 2 ** -7, seed=1)  # numpy and the planner load before tracing
+    tracemalloc.start()
+    try:
+        build_tree(pairs, SKEW, 2 ** -7, seed=1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 30 * n
 
 
 # -- query semantics --------------------------------------------------

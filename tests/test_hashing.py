@@ -36,13 +36,25 @@ def test_range():
 def test_index_bounds():
     fam = HashFamily(0, 100, 2)
     digest = fam.digest_batch([b"k"])
-    for j in (0, 3):
+    for j in (0, 3, -1):
         with pytest.raises(IndexError):
             fam.base_hash(j, b"k")
         with pytest.raises(IndexError):
             fam.base_hash_batch(j, *digest)
         with pytest.raises(IndexError):
             fam.base_hash_batch(np.array([j]), *digest)
+    # one index outside 1..k refuses the batch, whatever the dtype
+    for js in (np.array([1, 0], dtype=np.uint64), np.array([2, 1 << 63], dtype=np.uint64),
+               np.array([1, -5], dtype=np.int64), np.array([1, 3], dtype=np.int32)):
+        with pytest.raises(IndexError):
+            fam.base_hash_batch(js, *fam.digest_batch([b"k", b"l"]))
+    wide = HashFamily(0, 100, 300)  # j - 1 must not wrap in j's own dtype, below k
+    with pytest.raises(IndexError):
+        wide.base_hash_batch(np.array([0], dtype=np.uint8), *digest)
+    for dtype in (np.uint16, np.int32, np.int64, np.uint64):
+        js = np.arange(1, 301, dtype=np.int64).astype(dtype)
+        want = [wide.base_hash(int(j), b"k") for j in js.tolist()]
+        assert wide.base_hash_batch(js, *digest).tolist() == want
     assert fam.base_hash_batch(np.array([2]), *digest).tolist() == [fam.base_hash(2, b"k")]
     empty = fam.digest_batch([])
     assert fam.base_hash_batch(np.array([], dtype=np.int64), *empty).shape == (0,)
