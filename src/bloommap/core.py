@@ -10,9 +10,10 @@ whose path holds a segment that showed a zero bit.  On a tree that is the
 right-first walk abandoning any subtree whose node fails; on the flat
 layout it stops at the first fully set block from the top.  Neither variant can
 return "not present" for a stored key.  The walk has a scalar form,
-BloomMap.query, for one key, and a batch form, BloomMap.query_many, one
-probe per key a step, with the same answers and probe counts; both, and
-the writer, step through one probe table compiled from the plan.  In
+BloomMap.query, for one key, which steps through the plan rows
+themselves, and a batch form, BloomMap.query_many, one probe per key a
+step, with the same answers and probe counts; the batch form and the
+writer step through one probe table compiled from the plan for m.  In
 the batch form a walk's end leads to one of b + 1 sink entries, absent
 or one per answer, whose links both lead back to the sink, so a
 finished key steps in place and adds no probe; the batch arrays shed
@@ -240,8 +241,9 @@ class BloomMap:
     walk that finds the row set moves to on_pass, the right child (-1 at a
     leaf, which answers low); a zero bit moves it to on_fail, where value
     low - 1's path leaves the rows known set (-1 when low is 0).  Sizing,
-    the bounds and the file digest read it; writing and both query forms
-    step through its _ProbeTable for the map's m, compiled on first use.
+    the bounds, the file digest and query read it; writing and query_many
+    step through its probe table, compiled by _compile for the map's m on
+    first use.
     The flat rows come from simple_ks and a tree map's from
     codetree.plan_rows, straight from its leaf depths; tree is a CodeTree
     view of them, built on first use (None on the flat layout).
@@ -265,7 +267,8 @@ class BloomMap:
         else:
             rows = codetree.plan_rows(dist, epsilon, variant, custom)[0]
         self._plan = rows
-        self._probes: _ProbeTable | None = None  # compiled from _plan for m on first use
+        self._top = max(r for r, row in enumerate(rows) if row[6] < 0)  # query's first row
+        self._probes: SimpleNamespace | None = None  # compiled from _plan for m on first use
         self.family = HashFamily(seed, bits.m, max(row[1] for row in rows))
         self._pending: dict[bytes, int] | None = None if bits.frozen else {}
 
@@ -380,12 +383,12 @@ class BloomMap:
         self.family = HashFamily(self.family.master_seed, m, self.family.k)
         self._probes = None  # its offsets were reduced mod the old m
 
-    def _table(self) -> _ProbeTable:
+    def _table(self) -> SimpleNamespace:
         """The probe table for the map's m, compiled on first use, as a load
-        needs none; racing threads compile it twice."""
+        and query need none; racing threads compile it twice."""
         table = self._probes
         if table is None:
-            table = self._probes = _ProbeTable(self._plan, self.m)
+            table = self._probes = _compile(self._plan, self.m)
         return table
 
     def _write(self, h1: np.ndarray, h2: np.ndarray, values: np.ndarray) -> None:
@@ -401,7 +404,7 @@ class BloomMap:
         """
         import numpy as np
 
-        table = self._table().batch
+        table = self._table()
         m = np.uint64(self.m)
         d = table.leaf[values]
         while d.size:
@@ -418,28 +421,36 @@ class BloomMap:
     def query(self, key) -> QueryOutcome:
         """Look up a key.  Never reports absence for a stored key.
 
-        Steps through the probe table's lists, one bit read a step,
+        Walks the plan rows from the last root, one bit read a probe,
         caching base hashes by index so subtrees sharing them reuse them.
+        A row reads bit (h + offset) % m for h = base_hash(j, key), j from
+        first to last; a zero bit moves to on_fail (-1: absent), a passed
+        row to on_pass, and a passed leaf answers low.
         """
         bits = self.bits
         if not bits._frozen:
             raise ValueError("freeze the map before querying")
         if type(key) is not bytes:
             key = _as_key(key)
-        get_bit, base_hash, m = bits.get_bit, self.family.base_hash, bits.m
-        js, offsets, nxt, d = (self._probes or self._table()).lists
+        get_bit, base_hash, m, rows = bits.get_bit, self.family.base_hash, bits.m, self._plan
         cache = [None] * (self.family.k + 1)
-        probes = 0
-        while d >= 0:
-            j = js[d]
-            h = cache[j]
-            if h is None:
-                h = cache[j] = base_hash(j, key)
-            d = nxt[2 * d + get_bit((h + offsets[d]) % m)]
-            probes += 1
-        found = None if d == -1 else -2 - d
-        # each evaluated index fills one cache slot; slot 0 is never used
-        evals = len(cache) - cache.count(None)
+        probes = evals = 0
+        r, found = self._top, None
+        while r >= 0:
+            j, last, offset, low, r, on_fail, _ = rows[r]  # r: on_pass unless a bit is zero
+            while j <= last:
+                h = cache[j]
+                if h is None:
+                    h = cache[j] = base_hash(j, key)
+                    evals += 1
+                probes += 1
+                if not get_bit((h + offset) % m):
+                    r = on_fail
+                    break
+                j += 1
+            else:
+                if r < 0:  # a leaf passed
+                    found = low
         label = None if found is None else self.dist.labels[found]
         return QueryOutcome(found, label, probes, evals)
 
@@ -463,7 +474,7 @@ class BloomMap:
         keys = _as_keys(list(keys))
         found = np.empty(len(keys), dtype=np.int64)
         probes = np.empty(len(keys), dtype=np.int64)
-        table = self._table().batch
+        table = self._table()
         j, offset, nxt, sink = table.j, table.offset, table.nxt, table.sink
         h1, h2 = self.family.digest_batch(keys)
         # read whatever bit array the map holds now; keep no view of it
@@ -496,82 +507,46 @@ class BloomMap:
             d = nxt[2 * d + ((bits[pos >> 3] & weight[pos & 7]) != 0)]
 
 
-class _ProbeTable:
-    """A plan compiled for one m, one entry per probe (row, hash index j) in
-    plan order.  Entry d reads bit (base_hash(j[d], key) + offset[d]) % m,
+def _compile(rows, m: int) -> SimpleNamespace:
+    """The probe table of a plan for one m, one entry per probe (row, hash
+    index j) in plan order, as numpy columns made from the rows with
+    np.repeat.  Entry d reads bit (base_hash(j[d], key) + offset[d]) % m,
     offset[d] being its row's offset % m; a walk reads nxt[2 d + bit] next,
     and a write up[d].  Within a row both are d + 1; at a row's end, the
-    first entry of on_pass, on_fail or up (-1 above a root).  Queries start
-    at top, the plan's last root, and value i's writes at leaf[i].
-
-    Each form is made on its first use.  lists, for the scalar walk, are
-    Python lists, which it indexes faster than arrays, compiled with a few
-    list operations per row, not a step per entry; a walk's end there is
-    a terminal link -2 - answer (-1: absent).  batch holds the columns as
-    numpy arrays, made from the rows with np.repeat.  Past the entries its
-    j, offset and nxt hold b + 1 sinks, entry sink + 1 + i answering value
-    i and entry sink itself absent: a walk's end links to its sink, and
-    both links of a sink lead back to it, so a finished key can step on
-    in place.
+    first entry of on_pass, on_fail or up (-1 above a root).  Walks start
+    at top, the plan's last root, and value i's writes at leaf[i].  Past
+    the entries j, offset and nxt hold b + 1 sinks, entry sink + 1 + i
+    answering value i and entry sink itself absent: a walk's end links to
+    its sink, and both links of a sink lead back to it, so a finished key
+    can step on in place.
     """
+    import numpy as np
 
-    def __init__(self, rows, m: int):
-        self.rows, self.m = rows, m
+    fields = chain.from_iterable(rows)
+    rows = np.fromiter(fields, dtype=np.int64, count=7 * len(rows)).reshape(-1, 7)
+    first, last, offset, low, on_pass, on_fail, up = rows.T
+    k = last - first + 1
+    starts = np.zeros(len(rows) + 1, dtype=np.int64)
+    np.cumsum(k, out=starts[1:])
+    sink, ends, leaf = int(starts[-1]), starts[1:] - 1, starts[:-1][on_pass < 0]
 
-    @cached_property
-    def lists(self) -> tuple[list[int], list[int], list[int], int]:
-        """(j, offset, nxt, top) for the scalar walk, entries that hold the
-        same value sharing one int object."""
-        rows, m = self.rows, self.m
-        starts = list(accumulate((row[1] - row[0] + 1 for row in rows), initial=0))
-        index = list(range(max(row[1] for row in rows) + 1))  # one int object per j
-        on_set = list(range(1, starts[-1] + 1))  # within a row a set bit goes on
-        js, offsets, on_zero = [], [], []
-        top = 0
-        for r, (first, last, offset, low, on_pass, on_fail, up) in enumerate(rows):
-            k = last - first + 1
-            js += index[first : last + 1]
-            offsets += [offset % m] * k
-            # a zero bit with no row left happens only at value 0: absent
-            on_zero += [starts[on_fail] if on_fail >= 0 else -1] * k
-            on_set[starts[r + 1] - 1] = starts[on_pass] if on_pass >= 0 else -2 - low
-            if up < 0:
-                top = starts[r]
-        nxt = [0] * (2 * len(js))
-        nxt[0::2], nxt[1::2] = on_zero, on_set
-        return js, offsets, nxt, top
+    def link(targets, none):  # the first entry of each target row, or none at -1
+        return np.where(targets >= 0, starts[targets], none)
 
-    @cached_property
-    def batch(self) -> SimpleNamespace:
-        """The columns j, offset, nxt, up and leaf as numpy arrays, with
-        top and sink, the first sink entry."""
-        import numpy as np
-
-        fields = chain.from_iterable(self.rows)
-        rows = np.fromiter(fields, dtype=np.int64, count=7 * len(self.rows)).reshape(-1, 7)
-        first, last, offset, low, on_pass, on_fail, up = rows.T
-        k = last - first + 1
-        starts = np.zeros(len(rows) + 1, dtype=np.int64)
-        np.cumsum(k, out=starts[1:])
-        sink, ends, leaf = int(starts[-1]), starts[1:] - 1, starts[:-1][on_pass < 0]
-
-        def link(targets, none):  # the first entry of each target row, or none at -1
-            return np.where(targets >= 0, starts[targets], none)
-
-        size = sink + len(leaf) + 1
-        js = np.ones(size, dtype=np.uint64)  # a sink reads j = 1
-        js[:sink] = np.repeat(first - starts[:-1], k) + np.arange(sink)
-        offsets = np.zeros(size, dtype=np.uint64)
-        offsets[:sink] = np.repeat(offset % self.m, k)
-        on_set = np.arange(1, sink + 1)
-        on_set[ends] = link(on_pass, sink + 1 + low)
-        nxt = np.repeat(np.arange(size), 2)  # each sink links to itself
-        nxt[0 : 2 * sink : 2] = np.repeat(link(on_fail, sink), k)
-        nxt[1 : 2 * sink : 2] = on_set
-        ups = np.arange(1, sink + 1)
-        ups[ends] = link(up, -1)
-        return SimpleNamespace(j=js, offset=offsets, nxt=nxt, up=ups, leaf=leaf,
-                               top=int(starts[:-1][up < 0][-1]), sink=sink)
+    size = sink + len(leaf) + 1
+    js = np.ones(size, dtype=np.uint64)  # a sink reads j = 1
+    js[:sink] = np.repeat(first - starts[:-1], k) + np.arange(sink)
+    offsets = np.zeros(size, dtype=np.uint64)
+    offsets[:sink] = np.repeat(offset % m, k)
+    on_set = np.arange(1, sink + 1)
+    on_set[ends] = link(on_pass, sink + 1 + low)
+    nxt = np.repeat(np.arange(size), 2)  # each sink links to itself
+    nxt[0 : 2 * sink : 2] = np.repeat(link(on_fail, sink), k)
+    nxt[1 : 2 * sink : 2] = on_set
+    ups = np.arange(1, sink + 1)
+    ups[ends] = link(up, -1)
+    return SimpleNamespace(j=js, offset=offsets, nxt=nxt, up=ups, leaf=leaf,
+                           top=int(starts[:-1][up < 0][-1]), sink=sink)
 
 
 # -- builders ---------------------------------------------------------

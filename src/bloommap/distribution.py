@@ -160,6 +160,9 @@ def load_distribution(source) -> ValueDistribution:
     weights: list[float] = []
     labels: list[str] = []
     for lineno, raw in enumerate(source, start=1):
+        if not isinstance(raw, str):
+            raise InvalidDistribution(f"cannot read distribution from binary stream "
+                                      f"{type(source).__name__}; open it in text mode")
         line = raw.rstrip("\n")
         if not line.strip():
             continue

@@ -75,18 +75,20 @@ def build_with_discard(pairs, dist: ValueDistribution, epsilon: float, seed: int
     The discard fraction f defaults to the map's epsilon.  Dropped keys
     are chosen by the seed, so the build is reproducible; measure() the
     result against the original pairs to see the induced false negatives.
+    Labels may be bytes or str: keys are grouped by value index and the
+    groups visited in the order of their label bytes.
     """
     if discard_fraction is None:
         discard_fraction = epsilon
     if not (0.0 <= discard_fraction < 1.0):
         raise ValueError(f"discard fraction must lie in [0, 1), got {discard_fraction!r}")
-    per_value: dict[bytes, list[int]] = {}
+    per_value: dict[int, list[int]] = {}
     for pos, (_, label) in enumerate(pairs):
-        per_value.setdefault(label, []).append(pos)
+        per_value.setdefault(dist.index_of(label), []).append(pos)
     rnd = random.Random(seed)
     dropped: set[int] = set()
-    for label in sorted(per_value):
-        positions = per_value[label]
+    for i in sorted(per_value, key=lambda i: dist.labels[i]):
+        positions = per_value[i]
         drop = math.floor(discard_fraction * len(positions))
         if drop:
             dropped.update(rnd.sample(positions, drop))

@@ -49,7 +49,7 @@ from bloommap.codetree import (
 from bloommap.core import (
     CHUNK,
     BitArray,
-    _ProbeTable,
+    _compile,
     _tally,
     simple_analytic_bounds,
     simple_hash_counts,
@@ -970,10 +970,9 @@ def test_query_many_reads_the_bits_the_map_holds_now(tmp_path):
 
 
 def test_fresh_map_answers_alike_from_two_threads(tmp_path):
-    # two threads race to fill a loaded map's probe table, its hash memo
-    # and its first rounds, one per key length, on keys of 0-80 bytes
-    # whose lengths the map has not hashed yet; each answers as one
-    # thread alone does
+    # two threads race to fill a loaded map's hash memo and its first
+    # rounds, one per key length, on keys of 0-80 bytes whose lengths the
+    # map has not hashed yet; each answers as one thread alone does
     pairs = generate_pmap(PMapSpec(SKEW, 2000, seed=12))
     path = tmp_path / "m.bmap"
     save(build_tree(pairs, SKEW, 2 ** -7, seed=13, scheme="standard"), path)
@@ -1013,7 +1012,7 @@ def test_walk_tables_hold_one_row_per_segment(variant):
     assert rows == (d.b if variant == "simple" else len(bmap.tree.nodes)) <= 2 * d.b - 1
     # the probe table holds one entry per probe of every row, and the
     # batch walk's columns b + 1 sinks past them
-    table = bmap._table().batch
+    table = bmap._table()
     entries = sum(last - first + 1 for first, last, *_ in bmap._plan)
     assert table.sink == len(table.up) == entries
     assert len(table.j) == len(table.offset) == entries + d.b + 1
@@ -1085,11 +1084,9 @@ def test_batch_columns_equal_the_entry_lists(variant):
         bmap = BloomMap(variant=variant, dist=d, epsilon=2 ** -7, seed=1,
                         bits=BitArray(1), custom=custom)
         for m in (1, 7, 100, 2 ** 40 + 3):
-            compiled = _ProbeTable(bmap._plan, m)
-            table = compiled.batch
+            table = _compile(bmap._plan, m)
             js, offsets, nxt, ups, leaves, top = _entry_columns(bmap._plan, m)
             sink = len(js)
-            assert compiled.lists == (js, offsets, nxt, top)
             assert table.sink == sink and table.top == top
             assert table.j.dtype == table.offset.dtype == np.uint64
             assert table.nxt.dtype == table.up.dtype == table.leaf.dtype == np.int64

@@ -161,3 +161,5 @@ def test_load_distribution_errors():
         load_distribution(io.StringIO("a\tnot-a-number\n"))
     with pytest.raises(InvalidDistribution):
         load_distribution(io.StringIO(""))
+    with pytest.raises(InvalidDistribution, match="binary stream BytesIO"):
+        load_distribution(io.BytesIO(b"a\t1\n"))

@@ -109,6 +109,17 @@ def test_discard_induces_bounded_false_negatives():
     ) >= 1
 
 
+def test_discard_groups_mixed_labels_by_value():
+    # a value labelled by str on some pairs and by bytes on others is one
+    # group, so the build drops the keys that the all-bytes build drops
+    pairs = generate_pmap(PMapSpec(TERN, 400, seed=4))
+    mixed = [(key, label.decode() if t % 2 else label) for t, (key, label) in enumerate(pairs)]
+    want = build_with_discard(pairs, TERN, 2 ** -4, seed=4, variant="fast", discard_fraction=0.1)
+    got = build_with_discard(mixed, TERN, 2 ** -4, seed=4, variant="fast", discard_fraction=0.1)
+    assert got.n == want.n == 400 - sum(math.floor(0.1 * c) for c in integer_counts(TERN, 400))
+    assert got.bits.to_bytes() == want.bits.to_bytes()
+
+
 def test_discard_fraction_validation():
     pairs = generate_pmap(PMapSpec(TERN, 50, seed=1))
     for bad in (-0.1, 1.0, 1.5):

@@ -391,9 +391,9 @@ def test_large_b_loads_in_linear_memory():
 
 
 def test_large_b_first_queries_compile_the_probe_table_in_bounds():
-    # a load compiles no probe table; the first batch lookup compiles its
-    # 129,999 entries and the first scalar lookup its lists, within the
-    # time and the memory a load of this b is allowed
+    # a load and the first scalar lookup compile no probe table; the first
+    # batch lookup compiles its 129,999 entries, within the time and the
+    # memory a load of this b is allowed
     b = 10 ** 4
     skewed = new_distribution([0.95 ** i for i in range(b)], [f"v{i}" for i in range(b)])
     bmap = plan_tree_map(skewed, 2 ** -7, seed=1, scheme="standard", n=10 ** 5)
@@ -401,12 +401,12 @@ def test_large_b_first_queries_compile_the_probe_table_in_bounds():
     data = _saved(bmap)
     keys = [f"k{t}".encode() for t in range(1000)]
     back = load(io.BytesIO(data))
-    assert back._probes is None
-    for lookup in (lambda: back.query_many(keys), lambda: back.query(keys[0])):
+    for lookup in (lambda: back.query(keys[0]), lambda: back.query_many(keys)):
+        assert back._probes is None
         start = time.perf_counter()
         lookup()
         assert time.perf_counter() - start < 1.0
-    assert back._table().batch.sink == 129_999 and len(back._table().batch.j) == 129_999 + b + 1
+    assert back._table().sink == 129_999 and len(back._table().j) == 129_999 + b + 1
     tracemalloc.start()
     try:
         back = load(io.BytesIO(data))
@@ -418,9 +418,41 @@ def test_large_b_first_queries_compile_the_probe_table_in_bounds():
     finally:
         tracemalloc.stop()
     # the two first calls' peak counts from after the load; what the map
-    # holds after them, its table and lists included, counts the load too
+    # holds after them, its table included, counts the load too
     assert peak - loaded < 32e6
     assert held < 32e6
+
+
+def test_scalar_lookups_compile_no_probe_table():
+    # query walks the plan rows and describe() reads them, so a loaded map
+    # answers both with no probe table compiled
+    pairs, maps = _maps()
+    keys = [key for key, _ in pairs[:50]] + [f"absent{t}".encode() for t in range(50)]
+    for bmap in maps.values():
+        back = load(io.BytesIO(_saved(bmap)))
+        assert [back.query(key) for key in keys] == [bmap.query(key) for key in keys]
+        assert back.describe() == bmap.describe()
+        assert back._probes is None
+
+
+def test_hostile_flat_file_first_query_in_bounded_memory():
+    # a 13,944-byte flat file whose 999 rare values each need about 1,004
+    # probes: one entry per probe of every row came to about 10^6 entries,
+    # and compiling them for the first query held 129 MB; the walk over
+    # the plan rows holds one base hash slot per hash function, about 8 MB
+    b = 1000
+    dist = new_distribution([1.0] + [1e-300] * (b - 1), [f"v{i}" for i in range(b)])
+    data = _saved(build_simple([(b"only", "v0")], dist, 2 ** -7, seed=1))
+    assert len(data) == 13_944
+    tracemalloc.start()
+    try:
+        back = load(io.BytesIO(data))
+        out = back.query(b"only")
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert out.value == b"v0"
+    assert peak < 32e6
 
 
 def test_trailing_bytes_rejected():
