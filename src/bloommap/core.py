@@ -164,7 +164,7 @@ class BitArray:
         return bytes(self._buf)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class QueryOutcome:
     """Result of one lookup.
 
@@ -172,12 +172,25 @@ class QueryOutcome:
     counts individual bit reads; hash_evals counts base hash evaluations,
     which can be lower because a query reuses base hashes across subtrees
     that share base indices.
+
+    Every scalar query makes one, so __init__ writes the four fields into
+    the instance dict directly: the generated frozen __init__ makes four
+    object.__setattr__ calls, which double the cost of a record.
+    Equality, hash, repr and the frozen error are the dataclass's own.
     """
 
     value_index: int | None
     value: bytes | None
     probes: int
     hash_evals: int
+
+    def __init__(self, value_index: int | None, value: bytes | None, probes: int,
+                 hash_evals: int):
+        fields = self.__dict__
+        fields["value_index"] = value_index
+        fields["value"] = value
+        fields["probes"] = probes
+        fields["hash_evals"] = hash_evals
 
     @property
     def is_bottom(self) -> bool:

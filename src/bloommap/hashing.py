@@ -3,15 +3,17 @@
 A key is hashed once: a splitmix-style finalizer round (two
 multiply-xor-shift steps) mixes the 64-bit master seed with the key's
 length, and one absorb loop then folds in the key's 8-byte little-endian
-words, one finalizer round each, read from a single int of the whole key;
-that gives h1, and one more finalizer round gives the odd step
+words, one finalizer round each, read by one struct unpack of the key
+zero-padded to a whole word, so a digest takes time linear in the key's
+length; that gives h1, and one more finalizer round gives the odd step
 h2 = fmix64(h1) | 1.  Function j is then g_j = (h1 + j * h2) mod 2**64,
 reduced to a bit position by multiply-shift rather than modulo.  Kirsch
 and Mitzenmacher ("Less Hashing, Same Performance", ESA 2006) show that
 these g_j keep the false positive rate of k independent functions, so a
 map probing t positions per key pays for one key hash, not t.  The first
-round reads only the seed and the length, so a HashFamily keeps it per
-key length and a lookup runs the absorb loop alone.
+round reads only the seed and the length, and the unpacker only the
+length, so a HashFamily keeps both per key length and a lookup runs the
+unpack and the absorb loop alone.
 
 A numpy batch path digests a list of keys of any lengths at once and
 agrees bit for bit with the scalar path for every range size m,
@@ -28,11 +30,14 @@ scalar lookup never loads it.
 
 from __future__ import annotations
 
+import struct
 from functools import cache
 from types import SimpleNamespace
 from typing import TYPE_CHECKING
 
 if TYPE_CHECKING:
+    from collections.abc import Callable
+
     import numpy as np
 
 __all__ = ["HashFamily", "keyed_hash64", "step_of"]
@@ -52,12 +57,23 @@ def _fmix64(z):
     return z ^ (z >> 31)
 
 
-def _absorb(z: int, key: bytes) -> int:
-    """Fold key's 8-byte little-endian words into z, the last one zero
-    padded, with one _fmix64 round each, written out inline."""
-    x = int.from_bytes(key, "little")
-    for shift in range(0, len(key) << 3, 64):
-        z ^= (x >> shift) & MASK64
+def _per_length(seed: int, length: int) -> tuple[int, Callable, bytes]:
+    """The parts of a digest that read only the seed and the key's length:
+    the first round, the unpacker of the key's 8-byte little-endian words
+    and the zero bytes that pad the key to a whole word."""
+    unpack = struct.Struct(f"<{(length + 7) >> 3}Q").unpack
+    return _fmix64(seed ^ ((length * _GOLD) & MASK64)), unpack, bytes(-length & 7)
+
+
+def _absorb(entry: tuple[int, Callable, bytes], key: bytes) -> int:
+    """The h1 digest of key, from its length's _per_length entry: fold
+    the key's words, the last one zero padded, into the first round with
+    one _fmix64 round each, written out inline.  One unpack reads every
+    word, so the time is linear in the key's length, where shifting each
+    word out of one int of the whole key would be quadratic in it."""
+    z, unpack, pad = entry
+    for word in unpack(key + pad):
+        z ^= word
         z ^= z >> 30
         z = (z * _MULT1) & MASK64
         z ^= z >> 27
@@ -66,14 +82,9 @@ def _absorb(z: int, key: bytes) -> int:
     return z
 
 
-def _start(seed: int, length: int) -> int:
-    """The first round of a digest, which reads only the seed and the key's length."""
-    return _fmix64(seed ^ ((length * _GOLD) & MASK64))
-
-
 def keyed_hash64(seed: int, key: bytes) -> int:
     """64-bit hash of a byte string under the given seed."""
-    return _absorb(_start(seed, len(key)), key)
+    return _absorb(_per_length(seed, len(key)), key)
 
 
 @cache
@@ -138,16 +149,16 @@ class HashFamily:
     where (h1, h2) is the key's digest.  base_hash keeps the last key it
     digested in a one-slot memo, so the t calls a lookup or store makes
     for one key object hash that key once, and it starts each digest from
-    the family's table of first rounds, one int per key length seen, so
-    a digest runs only keyed_hash64's absorb loop.  The memo and that table
-    are the only state that changes: the memo is one (key, h1, h2) tuple,
-    replaced whole and read once per call, and a table entry depends only
-    on the seed and the length, so a family is safe to share across
-    threads; a race only costs a second digest or a second computation of
-    the same entry.
+    the family's per-length table, one (first round, unpacker, padding)
+    entry per key length seen, so a digest runs only the unpack and the
+    absorb loop.  The memo and that table are the only state that changes:
+    the memo is one (key, h1, h2) tuple, replaced whole and read once per
+    call, and a table entry depends only on the seed and the length, so a
+    family is safe to share across threads; a race only costs a second
+    digest or a second computation of the same entry.
     """
 
-    __slots__ = ("master_seed", "m", "k", "_memo", "_starts")
+    __slots__ = ("master_seed", "m", "k", "_memo", "_per_length")
 
     def __init__(self, master_seed: int, m: int, k: int):
         if m < 1:
@@ -158,7 +169,7 @@ class HashFamily:
         self.m = m
         self.k = k
         self._memo = (None, 0, 0)
-        self._starts: dict[int, int] = {}  # key length -> _start(master_seed, length)
+        self._per_length: dict[int, tuple] = {}  # key length -> _per_length(master_seed, length)
 
     def base_hash(self, j: int, key: bytes) -> int:
         """Position of key under function j (1-based), in [0, m)."""
@@ -167,11 +178,16 @@ class HashFamily:
         memo = self._memo
         if memo[0] is not key:
             n = len(key)
-            z = self._starts.get(n)
-            if z is None:
-                z = self._starts[n] = _start(self.master_seed, n)
-            h1 = _absorb(z, key)
-            memo = self._memo = (key, h1, _fmix64(h1) | 1)
+            entry = self._per_length.get(n)
+            if entry is None:
+                entry = self._per_length[n] = _per_length(self.master_seed, n)
+            h1 = z = _absorb(entry, key)
+            # h2 = _fmix64(h1) | 1, inline
+            z ^= z >> 30
+            z = (z * _MULT1) & MASK64
+            z ^= z >> 27
+            z = (z * _MULT2) & MASK64
+            memo = self._memo = (key, h1, (z ^ (z >> 31)) | 1)
         # (g_j * m) >> 64, the scalar form of _reduce_np
         return ((memo[1] + j * memo[2]) & MASK64) * self.m >> 64
 

@@ -11,6 +11,7 @@ import dataclasses
 import io
 import itertools
 import math
+import pickle
 import random
 import sys
 import threading
@@ -153,12 +154,34 @@ def test_frozen_bit_array_rejects_writes():
 
 
 def test_outcome_is_immutable():
+    # a frozen record whose own __init__ fills its dict: it constructs,
+    # compares, hashes, prints, copies and refuses changes as the generated
+    # frozen dataclass does
     out = QueryOutcome(value_index=None, value=None, probes=3, hash_evals=3)
     assert out.is_bottom
     with pytest.raises(dataclasses.FrozenInstanceError):
         out.probes = 5
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        del out.probes
     hit = QueryOutcome(value_index=1, value=b"b", probes=9, hash_evals=7)
     assert not hit.is_bottom
+    assert hit == QueryOutcome(1, b"b", 9, 7)
+    assert hash(hit) == hash(QueryOutcome(1, b"b", 9, 7)) == hash((1, b"b", 9, 7))
+    assert hit != (1, b"b", 9, 7)
+    assert hit != out
+    assert repr(hit) == "QueryOutcome(value_index=1, value=b'b', probes=9, hash_evals=7)"
+    fields = {"value_index": 1, "value": b"b", "probes": 9, "hash_evals": 7}
+    assert dataclasses.asdict(hit) == fields
+    assert vars(hit) == fields
+    assert dataclasses.replace(hit, probes=10) == QueryOutcome(1, b"b", 10, 7)
+    assert [f.name for f in dataclasses.fields(QueryOutcome)] == list(fields)
+    for twin in (pickle.loads(pickle.dumps(hit)), copy.copy(hit), copy.deepcopy(hit)):
+        assert twin == hit and type(twin) is QueryOutcome
+        assert vars(twin) == fields
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            twin.value = b"c"
+    with pytest.raises(TypeError):
+        QueryOutcome(1, b"b", 9)
 
 
 # -- flat hash counts and sizing --------------------------------------
@@ -969,10 +992,11 @@ def test_query_many_reads_the_bits_the_map_holds_now(tmp_path):
     assert (again_found == found).all() and (again_probes == probes).all()
 
 
-def test_fresh_map_answers_alike_from_two_threads(tmp_path):
-    # two threads race to fill a loaded map's hash memo and its first
-    # rounds, one per key length, on keys of 0-80 bytes whose lengths the
-    # map has not hashed yet; each answers as one thread alone does
+def test_fresh_map_answers_alike_from_many_threads(tmp_path):
+    # more threads than cores race to fill a loaded map's hash memo and
+    # its per-length table, one first round and word unpacker per key
+    # length, on keys of 0-80 bytes whose lengths the map has not hashed
+    # yet; each answers as one thread alone does
     pairs = generate_pmap(PMapSpec(SKEW, 2000, seed=12))
     path = tmp_path / "m.bmap"
     save(build_tree(pairs, SKEW, 2 ** -7, seed=13, scheme="standard"), path)
@@ -981,8 +1005,9 @@ def test_fresh_map_answers_alike_from_two_threads(tmp_path):
     keys += [key for key, _ in pairs[:200]]
     want = [load(path).query(key) for key in keys]
     bmap = load(path)
-    start = threading.Barrier(2)
-    answers = [None, None]
+    workers = 4
+    start = threading.Barrier(workers)
+    answers = [None] * workers
 
     def lookups(slot):
         start.wait(timeout=60)
@@ -991,15 +1016,15 @@ def test_fresh_map_answers_alike_from_two_threads(tmp_path):
     switch = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
-        threads = [threading.Thread(target=lookups, args=(slot,)) for slot in (0, 1)]
+        threads = [threading.Thread(target=lookups, args=(slot,)) for slot in range(workers)]
         for thread in threads:
             thread.start()
         for thread in threads:
             thread.join(timeout=60)
     finally:
         sys.setswitchinterval(switch)
-    assert [thread.is_alive() for thread in threads] == [False, False]
-    assert answers == [want, want]
+    assert [thread.is_alive() for thread in threads] == [False] * workers
+    assert answers == [want] * workers
 
 
 @pytest.mark.parametrize("variant", ["simple", "standard", "fast"])
@@ -1119,15 +1144,23 @@ def test_probe_table_follows_the_m_freeze_sizes():
     assert found[:2].tolist() == [3, 60]
 
 
-def test_call_counts_equal_reported_counts(monkeypatch):
+def test_call_counts_equal_reported_counts(monkeypatch, tmp_path):
     # each probe reads one bit and each evaluation hashes once, which is
-    # what lets a tracer count probes by wrapping the two primitives
+    # what lets a tracer count probes by wrapping the two primitives; on
+    # built and loaded maps, for keys of every length from 0 to 80 bytes
     pairs = generate_pmap(PMapSpec(SKEW, 300, seed=12))
     eps = 2 ** -6
     maps = [build_simple(pairs, SKEW, eps, seed=1)]
     maps += [build_tree(pairs, SKEW, eps, seed=2, scheme=s) for s in ("standard", "fast")]
     custom = _custom_counts(SKEW, eps, random.Random(3))
     maps.append(build_tree(pairs, SKEW, eps, seed=3, scheme="custom", custom=custom))
+    rnd = random.Random(4)
+    sized = [(rnd.randbytes(n), SKEW.labels[n % SKEW.b]) for n in range(81)]
+    built = (build_simple(pairs + sized, SKEW, eps, seed=4),
+             build_tree(pairs + sized, SKEW, eps, seed=5, scheme="standard"))
+    for i, bmap in enumerate(built):
+        save(bmap, tmp_path / f"{i}.bmap")
+        maps.append(load(tmp_path / f"{i}.bmap"))
     calls = {"get_bit": 0, "base_hash": 0}
 
     def counting(name, fn):
@@ -1138,8 +1171,8 @@ def test_call_counts_equal_reported_counts(monkeypatch):
 
     monkeypatch.setattr(BitArray, "get_bit", counting("get_bit", BitArray.get_bit))
     monkeypatch.setattr(HashFamily, "base_hash", counting("base_hash", HashFamily.base_hash))
-    stored = [key for key, _ in pairs[:100]]
-    absent = [f"absent-{t}".encode() for t in range(100)]
+    stored = [key for key, _ in pairs[:100]] + [key for key, _ in sized]
+    absent = [f"absent-{t}".encode() for t in range(100)] + [rnd.randbytes(n) for n in range(81)]
     for bmap in maps:
         for keys in (stored, absent):
             calls.update(get_bit=0, base_hash=0)

@@ -3,6 +3,7 @@ and the offset composition used at tree nodes."""
 
 import math
 import random
+import time
 import tracemalloc
 
 import numpy as np
@@ -133,6 +134,21 @@ def test_digests_equal_the_chained_reference(seeds, keys, m):
         want = [_chained_keyed_hash64(seed, key) for key in keys]
         assert h1.tolist() == want
         assert h2.tolist() == [_fmix64(h) | 1 for h in want]
+
+
+def test_long_key_digest_takes_linear_time():
+    # a 1 MiB key, its last word padded, digests in about 60 ms; reading
+    # its words by shifting one int of the whole key took time quadratic
+    # in its length, about 1 s already at 256 KiB
+    key = random.Random(8).randbytes((1 << 20) - 3)
+    want = _chained_keyed_hash64(11, key)
+    start = time.perf_counter()
+    got = keyed_hash64(11, key)
+    position = HashFamily(11, 1_000_003, 2).base_hash(2, key)
+    took = time.perf_counter() - start
+    assert got == want
+    assert position == _reference_position(11, 1_000_003, 2, key)
+    assert took < 1.0
 
 
 def test_batch_matches_scalar():
