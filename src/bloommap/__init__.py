@@ -11,15 +11,11 @@ Two layouts share the same guarantees: a flat one (a block of hash
 functions per value) and a tree one that routes each key along a path
 shaped like an optimal alphabetic code for the value distribution, which
 makes both space and probe counts track the distribution's entropy.
+
+The names that live in bounds, codetree and harness resolve on first
+access, so loading and querying a map never imports those modules.
 """
 
-from .bounds import (
-    lb_false_positive_only,
-    lb_general,
-    lb_symmetric,
-    space_report,
-)
-from .codetree import build_alphabetic_tree
 from .core import (
     BitArray,
     BloomMap,
@@ -48,7 +44,6 @@ from .errors import (
     IoError,
     UnknownValue,
 )
-from .harness import measure
 from .hashing import HashFamily
 from .mapfile import load, save
 
@@ -87,3 +82,27 @@ __all__ = [
     "uniform_distribution",
     "zero_fraction",
 ]
+
+# name -> the module that defines it, imported on the name's first access
+_LAZY = {
+    "build_alphabetic_tree": "codetree",
+    "lb_false_positive_only": "bounds",
+    "lb_general": "bounds",
+    "lb_symmetric": "bounds",
+    "measure": "harness",
+    "space_report": "bounds",
+}
+
+
+def __getattr__(name: str):
+    module = _LAZY.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    from importlib import import_module
+
+    value = globals()[name] = getattr(import_module(f".{module}", __name__), name)
+    return value
+
+
+def __dir__() -> list[str]:
+    return sorted(set(globals()) | set(__all__))

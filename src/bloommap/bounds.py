@@ -11,12 +11,12 @@ space_report() lines a concrete map up against them.
 from __future__ import annotations
 
 import math
-import sys
 import warnings
 from dataclasses import dataclass
 
 from .distribution import entropy
 from .errors import InvalidEpsilon
+from .plan import LOG2E, _check_epsilon
 
 __all__ = [
     "BoundReport",
@@ -28,15 +28,6 @@ __all__ = [
     "fast_negative_probe_limit",
     "fast_positive_probe_limit",
 ]
-
-LOG2E = math.log2(math.e)
-
-
-def _check_epsilon(epsilon: float) -> None:
-    # planners take log2(1 / epsilon), which overflows below a normal float
-    if not (sys.float_info.min <= epsilon < 1.0):
-        raise InvalidEpsilon(f"error budget must lie in (0, 1) and be normal, got {epsilon!r}")
-
 
 def _xlog2x(x: float) -> float:
     return 0.0 if x == 0.0 else x * math.log2(x)

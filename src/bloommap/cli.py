@@ -11,16 +11,16 @@ from __future__ import annotations
 
 import argparse
 import sys
-from collections import Counter
-from dataclasses import asdict
 
-from . import bounds as bounds_mod
-from . import harness, mapfile
-from .core import build_tree
+from . import mapfile
+from .core import VARIANTS
 from .distribution import load_distribution, new_distribution
 from .errors import BloomMapError
 
 __all__ = ["cli_main", "main", "render"]
+
+# the variants a build can name: custom counts have no flag
+_BUILT = tuple(v for v in VARIANTS if v != "custom")
 
 
 class _Parser(argparse.ArgumentParser):
@@ -84,6 +84,10 @@ def render(record: dict) -> str:
 
 
 def _cmd_build(args) -> int:
+    from collections import Counter
+
+    from .core import build_tree
+
     pairs = _read_pairs_tsv(args.input)
     tally = Counter(label for _, label in pairs)  # labels in first-seen order
     dist = new_distribution(list(tally.values()), list(tally))
@@ -110,26 +114,33 @@ def _cmd_query(args) -> int:
 
 
 def _cmd_bench(args) -> int:
+    from dataclasses import asdict
+
+    from . import bounds, harness
+    from .core import build_tree
+
     dist = load_distribution(args.dist)
     spec = harness.PMapSpec(dist=dist, n=args.n, seed=args.seed)
     pairs = harness.generate_pmap(spec)
     build = harness.build_with_discard if args.discard else build_tree
     bmap = build(pairs, dist, args.epsilon, args.seed, args.variant)
     report = harness.measure(bmap, pairs, args.neg_samples, seed=args.seed + 1)
-    print(render(asdict(report) | asdict(bounds_mod.space_report(bmap))))
+    print(render(asdict(report) | asdict(bounds.space_report(bmap))))
     return 0
 
 
 def _cmd_bounds(args) -> int:
+    from . import bounds
+
     floors = {
         "fp_only_lower_bpk":
-            bounds_mod.lb_false_positive_only(args.epsilon_plus, args.entropy),
+            bounds.lb_false_positive_only(args.epsilon_plus, args.entropy),
         "general_lower_bpk":
-            bounds_mod.lb_general(args.epsilon_plus, args.epsilon_star,
-                                  args.epsilon_minus, args.entropy),
+            bounds.lb_general(args.epsilon_plus, args.epsilon_star,
+                              args.epsilon_minus, args.entropy),
     }
     if 0.0 < args.epsilon_plus < 1.0:
-        floors["symmetric_lower_bpk"] = bounds_mod.lb_symmetric(
+        floors["symmetric_lower_bpk"] = bounds.lb_symmetric(
             args.epsilon_plus, args.entropy)
     print(render(floors))
     return 0
@@ -150,7 +161,7 @@ def _build_parser() -> _Parser:
     p = sub.add_parser("build", help="build a map from key<TAB>label lines")
     p.add_argument("--input", required=True, help="TSV file of key<TAB>value-label")
     p.add_argument("--epsilon", type=float, required=True, help="error budget in (0,1)")
-    p.add_argument("--variant", choices=harness.VARIANTS, default="standard")
+    p.add_argument("--variant", choices=_BUILT, default="standard")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", required=True, help="output map file")
     p.set_defaults(func=_cmd_build)
@@ -166,7 +177,7 @@ def _build_parser() -> _Parser:
     p.add_argument("--dist", required=True, help="TSV file of label<TAB>weight")
     p.add_argument("--n", type=int, required=True, help="number of keys to store")
     p.add_argument("--epsilon", type=float, required=True)
-    p.add_argument("--variant", choices=harness.VARIANTS, default="standard")
+    p.add_argument("--variant", choices=_BUILT, default="standard")
     p.add_argument("--neg-samples", type=int, default=10_000)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--discard", action="store_true",

@@ -35,8 +35,9 @@ layouts by one rule, m = ceil(log2(e) * sum_i count_i * t_i), from the
 counts plan_tree_map is given, a builder's tallies or, at freeze(), those
 of the pairs written.
 
-Only the batch code imports numpy, on its first call: loading a map,
-a scalar query and describe() run on the standard library alone.
+Only the batch code imports numpy, on its first call, and only
+BloomMap.tree imports codetree: loading a map, a scalar query and
+describe() run on plan.py and the standard library alone.
 """
 
 from __future__ import annotations
@@ -49,14 +50,15 @@ from itertools import accumulate, chain, islice
 from types import SimpleNamespace
 from typing import TYPE_CHECKING
 
-from . import codetree
-from .bounds import _check_epsilon
+from . import plan
 from .distribution import ValueDistribution, integer_counts
 from .errors import DuplicateKey, FrozenError, InvalidScheme
 from .hashing import HashFamily, step_of
 
 if TYPE_CHECKING:
     import numpy as np
+
+    from .codetree import CodeTree
 
 __all__ = [
     "BitArray",
@@ -200,14 +202,14 @@ class QueryOutcome:
 def simple_hash_counts(dist: ValueDistribution, epsilon: float) -> tuple[int, ...]:
     """Per-value hash counts for the flat variant:
     k_i = ceil(log2(1/eps) + log2(1/p_i))."""
-    _check_epsilon(epsilon)
+    plan._check_epsilon(epsilon)
     base = math.log2(1.0 / epsilon)
     return tuple(math.ceil(base + math.log2(1.0 / p)) for p in dist.probs)
 
 
 def simple_analytic_bounds(ks) -> tuple[float, tuple[float, ...]]:
     """(false positive bound, per-value misassignment bounds) of flat hash counts."""
-    return codetree.plan_bounds(_flat_rows(ks))[:2]
+    return plan.plan_bounds(_flat_rows(ks))[:2]
 
 
 def _flat_rows(ks) -> list[list[int]]:
@@ -258,7 +260,7 @@ class BloomMap:
     step through its probe table, compiled by _compile for the map's m on
     first use.
     The flat rows come from simple_ks and a tree map's from
-    codetree.plan_rows, straight from its leaf depths; tree is a CodeTree
+    plan.plan_rows, straight from its leaf depths; tree is a CodeTree
     view of them, built on first use (None on the flat layout).
     """
 
@@ -278,7 +280,7 @@ class BloomMap:
             self.simple_ks = simple_hash_counts(dist, epsilon)
             rows = _flat_rows(self.simple_ks)
         else:
-            rows = codetree.plan_rows(dist, epsilon, variant, custom)[0]
+            rows = plan.plan_rows(dist, epsilon, variant, custom)[0]
         self._plan = rows
         self._top = max(r for r, row in enumerate(rows) if row[6] < 0)  # query's first row
         self._probes: SimpleNamespace | None = None  # compiled from _plan for m on first use
@@ -286,10 +288,15 @@ class BloomMap:
         self._pending: dict[bytes, int] | None = None if bits.frozen else {}
 
     @cached_property
-    def tree(self) -> codetree.CodeTree | None:
+    def tree(self) -> CodeTree | None:
         """The code tree of a tree map's plan, built on first use; None on
-        the flat layout."""
-        return None if self.simple_ks is not None else codetree.tree_from_rows(self._plan)
+        the flat layout.  Nothing else in a map reads it, so codetree is
+        imported only here."""
+        if self.simple_ks is not None:
+            return None
+        from .codetree import tree_from_rows
+
+        return tree_from_rows(self._plan)
 
     # -- shared geometry ----------------------------------------------
 
@@ -315,9 +322,9 @@ class BloomMap:
         path weight, zero fraction and certified error bounds.
         bits_per_key is None while no key is stored."""
         rows = self._plan
-        fp, mis, t = codetree.plan_bounds(rows)
+        fp, mis, t = plan.plan_bounds(rows)
         if self.simple_ks is None:
-            depth = codetree.row_depths(rows)
+            depth = plan.row_depths(rows)
             leaves = [r for r, row in enumerate(rows) if row[4] < 0]
             counts = {
                 "leaf_depths": tuple(depth[r] for r in leaves),
@@ -389,9 +396,9 @@ class BloomMap:
 
     def _size_for(self, tallies) -> None:
         """Give the map an empty bit array, and its hash family the same m,
-        sized by codetree.size_bit_array for per-value key tallies and the
+        sized by plan.size_bit_array for per-value key tallies and the
         plan's path weights: the one sizing step of every build path."""
-        m = codetree.size_bit_array(tallies, codetree.plan_bounds(self._plan)[2])
+        m = plan.size_bit_array(tallies, plan.plan_bounds(self._plan)[2])
         self.bits = BitArray(m)
         self.family = HashFamily(self.family.master_seed, m, self.family.k)
         self._probes = None  # its offsets were reduced mod the old m

@@ -43,6 +43,7 @@ from pathlib import Path
 from .core import BitArray, BloomMap
 from .distribution import ValueDistribution
 from .errors import FormatError, InvalidDistribution, InvalidScheme, IoError
+from .plan import _postorder
 
 __all__ = ["save", "load", "MAGIC", "VERSION"]
 
@@ -98,7 +99,9 @@ def _head(bmap: BloomMap) -> bytes:
         buf.write(label)
         buf.write(_PROB.pack(prob))
     if bmap.variant == "custom":
-        ks = [node.k for node in bmap.tree.nodes]
+        ks = [0] * len(bmap._plan)  # in node-index order, read off the rows
+        for index, (first, last, *_) in zip(_postorder(bmap._plan), bmap._plan):
+            ks[index] = last - first + 1
         buf.write(struct.pack(f"<{len(ks)}I", *ks))
     return buf.getvalue()
 

@@ -28,15 +28,13 @@ from bloommap.codetree import (
     assign_offsets,
     certify_error_bounds,
     compute_geometry,
-    huffman_depths,
-    plan_bounds,
-    plan_rows,
     tree_from_depths,
     tree_from_rows,
     tree_property_report,
 )
 from bloommap.core import _flat_rows, simple_hash_counts
 from bloommap.errors import InvalidScheme
+from bloommap.plan import huffman_depths, plan_bounds, plan_rows
 
 LOG2E = math.log2(math.e)
 

@@ -45,7 +45,6 @@ from bloommap.codetree import (
     assign_hash_counts,
     assign_offsets,
     build_alphabetic_tree,
-    size_bit_array,
 )
 from bloommap.core import (
     CHUNK,
@@ -57,6 +56,7 @@ from bloommap.core import (
 )
 from bloommap.harness import PMapSpec, build_variant, generate_pmap
 from bloommap.hashing import HashFamily
+from bloommap.plan import size_bit_array
 
 LOG2E = math.log2(math.e)
 

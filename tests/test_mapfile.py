@@ -23,10 +23,11 @@ from bloommap import (
     save,
     uniform_distribution,
 )
-from bloommap.codetree import _leaf_floor, plan_rows, tree_from_rows
+from bloommap.codetree import tree_from_rows
 from bloommap.core import VARIANTS, build_simple, build_tree, plan_tree_map
 from bloommap.harness import PMapSpec, generate_pmap
 from bloommap.mapfile import _FIXED, _VARIANT_CODES
+from bloommap.plan import _leaf_floor, plan_rows
 
 SKEW = new_distribution([0.5, 0.25, 0.125, 0.125], ["a", "b", "c", "d"])
 
@@ -290,6 +291,26 @@ def test_plan_digest_is_pinned(dist_name, variant):
     assert [back.query(key) for key in keys] == [bmap.query(key) for key in keys]
     for got, want in zip(back.query_many(keys), bmap.query_many(keys)):
         assert (got == want).all()
+
+
+# (bytes, checksum field) of the pinned custom maps' files, whose node
+# counts save reads off the plan rows rather than a CodeTree
+_PINNED_CUSTOM_FILES = {
+    "abcd": (170, 0x14962384),
+    "uniform64": (2629, 0xFD004D89),
+    "geometric40": (1690, 0x99CC36EF),
+}
+
+
+@pytest.mark.parametrize("dist_name", sorted(_PINNED_CUSTOM_FILES))
+def test_custom_files_are_pinned(dist_name):
+    bmap = _pinned_map(dist_name, "custom")
+    data = _saved(bmap)
+    assert (len(data), struct.unpack_from("<I", data, len(data) - 4)[0]) == (
+        _PINNED_CUSTOM_FILES[dist_name])
+    nodes = 2 * bmap.b - 1
+    counts = struct.unpack_from(f"<{nodes}I", data, _counts_offset(bmap))
+    assert list(counts) == [node.k for node in bmap.tree.nodes]
 
 
 def test_custom_counts_certified_on_load():
