@@ -29,8 +29,8 @@ records pairs in a dict and freeze() digests them a chunk at a time; the
 batch builders hold no per-key dict: they read the pairs CHUNK at a time,
 digest each chunk once, to h1 alone, and dedupe by sorting the 64-bit h1
 digests, comparing key bytes only where digests are equal.  A map plans
-itself from its variant, whether built (before a pair is read), planned
-by plan_tree_map or loaded, and one step, BloomMap._size_for, sizes both
+itself through plan.plan_rows, whether built (before a pair is read),
+planned by plan_tree_map or loaded, and one step, BloomMap._size_for, sizes both
 layouts by one rule, m = ceil(log2(e) * sum_i count_i * t_i), from the
 counts plan_tree_map is given, a builder's tallies or, at freeze(), those
 of the pairs written.
@@ -42,11 +42,10 @@ describe() run on plan.py and the standard library alone.
 
 from __future__ import annotations
 
-import math
 import operator
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import accumulate, chain, islice
+from itertools import chain, islice
 from types import SimpleNamespace
 from typing import TYPE_CHECKING
 
@@ -67,7 +66,6 @@ __all__ = [
     "build_simple",
     "build_tree",
     "plan_tree_map",
-    "simple_hash_counts",
     "simple_analytic_bounds",
     "zero_fraction",
 ]
@@ -199,23 +197,9 @@ class QueryOutcome:
         return self.value_index is None
 
 
-def simple_hash_counts(dist: ValueDistribution, epsilon: float) -> tuple[int, ...]:
-    """Per-value hash counts for the flat variant:
-    k_i = ceil(log2(1/eps) + log2(1/p_i))."""
-    plan._check_epsilon(epsilon)
-    base = math.log2(1.0 / epsilon)
-    return tuple(math.ceil(base + math.log2(1.0 / p)) for p in dist.probs)
-
-
 def simple_analytic_bounds(ks) -> tuple[float, tuple[float, ...]]:
     """(false positive bound, per-value misassignment bounds) of flat hash counts."""
-    return plan.plan_bounds(_flat_rows(ks))[:2]
-
-
-def _flat_rows(ks) -> list[list[int]]:
-    """The plan rows of the flat layout, one top-level block per value."""
-    return [[start + 1, start + k, 0, i, -1, i - 1, -1]
-            for i, (start, k) in enumerate(zip(accumulate(ks, initial=0), ks))]
+    return plan.plan_bounds(plan._slice_rows(plan._shape_rows([0] * len(ks)), ks))[:2]
 
 
 def _as_key(key) -> bytes:
@@ -259,9 +243,9 @@ class BloomMap:
     the bounds, the file digest and query read it; writing and query_many
     step through its probe table, compiled by _compile for the map's m on
     first use.
-    The flat rows come from simple_ks and a tree map's from
-    plan.plan_rows, straight from its leaf depths; tree is a CodeTree
-    view of them, built on first use (None on the flat layout).
+    plan.plan_rows plans both layouts; simple_ks reads a flat map's
+    counts off the rows, and tree is a CodeTree view of a tree map's,
+    built on first use (each is None on the other layout).
     """
 
     def __init__(self, *, variant: str, dist: ValueDistribution, epsilon: float,
@@ -275,24 +259,25 @@ class BloomMap:
         self.epsilon = epsilon
         self.bits = bits
         self.n = n
-        self.simple_ks = None
-        if variant == "simple":
-            self.simple_ks = simple_hash_counts(dist, epsilon)
-            rows = _flat_rows(self.simple_ks)
-        else:
-            rows = plan.plan_rows(dist, epsilon, variant, custom)[0]
-        self._plan = rows
+        self._plan = rows = plan.plan_rows(dist, epsilon, variant, custom)[0]
         self._top = max(r for r, row in enumerate(rows) if row[6] < 0)  # query's first row
         self._probes: SimpleNamespace | None = None  # compiled from _plan for m on first use
         self.family = HashFamily(seed, bits.m, max(row[1] for row in rows))
         self._pending: dict[bytes, int] | None = None if bits.frozen else {}
+
+    @property
+    def simple_ks(self) -> tuple[int, ...] | None:
+        """A flat map's hash counts, read off its rows; None on a tree."""
+        if self.variant != "simple":
+            return None
+        return tuple(last - first + 1 for first, last, *_ in self._plan)
 
     @cached_property
     def tree(self) -> CodeTree | None:
         """The code tree of a tree map's plan, built on first use; None on
         the flat layout.  Nothing else in a map reads it, so codetree is
         imported only here."""
-        if self.simple_ks is not None:
+        if self.variant == "simple":
             return None
         from .codetree import tree_from_rows
 
@@ -323,7 +308,7 @@ class BloomMap:
         bits_per_key is None while no key is stored."""
         rows = self._plan
         fp, mis, t = plan.plan_bounds(rows)
-        if self.simple_ks is None:
+        if self.variant != "simple":
             depth = plan.row_depths(rows)
             leaves = [r for r, row in enumerate(rows) if row[4] < 0]
             counts = {

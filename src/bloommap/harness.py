@@ -68,9 +68,9 @@ def build_variant(pairs, dist: ValueDistribution, epsilon: float, seed: int,
 def build_with_discard(pairs, dist: ValueDistribution, epsilon: float, seed: int,
                        variant: str = "simple",
                        discard_fraction: float | None = None) -> BloomMap:
-    """Build a map that deliberately drops floor(f * count_i) keys of each
-    value before storing, trading a bounded false negative rate for a
-    proportionally smaller bit array.
+    """Build a map from pairs, any iterable, held as a list, dropping
+    floor(f * count_i) keys of each value before storing: a bounded false
+    negative rate for a proportionally smaller bit array.
 
     The discard fraction f defaults to the map's epsilon.  Dropped keys
     are chosen by the seed, so the build is reproducible; measure() the
@@ -78,6 +78,7 @@ def build_with_discard(pairs, dist: ValueDistribution, epsilon: float, seed: int
     Labels may be bytes or str: keys are grouped by value index and the
     groups visited in the order of their label bytes.
     """
+    pairs = list(pairs)
     if discard_fraction is None:
         discard_fraction = epsilon
     if not (0.0 <= discard_fraction < 1.0):

@@ -1,15 +1,15 @@
 """Plans: the rows that say which bits each value's keys touch.
 
-A tree map's plan comes straight from the leaf depths of its code tree:
-since the value distribution is sorted, the sorted code lengths of a
-Huffman code, built by the two-queue method in O(b), give an optimal
-alphabetic tree.  Every node then receives a level-order offset, a hash
-count k and a consecutive slice of base hash indices, one plan row per
-node in preorder, and the whole plan is certified against the requested
-error budget before any key is stored.  plan_bounds reads the certified
-bounds and path weights off the rows of either layout, and
-size_bit_array sizes the bit array from them.  Loading a map plans
-through here too, so the read path needs no CodeTree (codetree.py).
+Both layouts are planned here, as preorder forests of rows: b one-row
+trees on the flat layout, and on the tree layout one tree whose shape
+comes from Huffman code lengths.  The value distribution is sorted, so
+the sorted lengths, built by the two-queue method in O(b), give an
+optimal alphabetic tree.  Every row receives an offset, a hash count and
+a slice of base hash indices, and a tree plan is certified against the
+error budget before any key is stored.  plan_bounds reads the bounds
+and path weights off the rows, and size_bit_array sizes the bit array
+from them.  Loading a map plans through here too, so the read path
+needs no CodeTree (codetree.py).
 """
 
 from __future__ import annotations
@@ -72,25 +72,24 @@ def huffman_depths(probs) -> list[int]:
 
 
 def plan_rows(dist, epsilon: float, scheme: str = "standard",
-              custom=None) -> tuple[list[list[int]], CertificationReport]:
-    """The certified plan rows of a tree map, with their report: the
-    Huffman shape for dist, level-order offsets and scheme's hash counts
-    for epsilon, built straight from the leaf depths in O(b) with no tree.
-
-    Building a map and loading one both plan through here, so a map file
-    stores the distribution and never the plan.  Custom counts are keyed
-    by codetree.tree_from_depths' node numbering and taken as stated:
-    counts that miss the budget raise InvalidScheme unbumped, so a file's
-    counts never reach the bump loop.
+              custom=None) -> tuple[list[list[int]], CertificationReport | None]:
+    """The plan rows of any variant, with their report, in O(b): the flat
+    layout for "simple", else a tree from its Huffman depths.  Builds and
+    loads plan through here.  Flat counts meet the budget by construction,
+    2^-k_i <= epsilon * p_i, so their report is None; tree plans are
+    certified.  Custom counts are keyed by codetree.tree_from_depths'
+    node numbering and taken as stated: counts that miss the budget raise
+    InvalidScheme unbumped, so a file's counts never reach the bump loop.
     """
     _check_epsilon(epsilon)
+    if scheme == "simple":  # b one-row trees; k_i = ceil(log2(1/eps) + log2(1/p_i))
+        base = math.log2(1.0 / epsilon)
+        counts = [math.ceil(base + math.log2(1.0 / p)) for p in dist.probs]
+        return _slice_rows(_shape_rows([0] * dist.b), counts), None
     count = _node_counts(dist.b, epsilon, scheme, custom)
     rows = _shape_rows(huffman_depths(dist.probs))
     index = _postorder(rows) if scheme == "custom" else range(len(rows))
-    for r, row in enumerate(rows):  # slices are consecutive down every path
-        up = row[6]
-        row[0] = first = rows[up][1] + 1 if up >= 0 else 1
-        row[1] = first + count(index[r], row[4] < 0) - 1
+    _slice_rows(rows, [count(i, row[4] < 0) for i, row in zip(index, rows)])
     return rows, _certify_rows(rows, epsilon, bump=scheme != "custom")
 
 
@@ -98,7 +97,8 @@ def _shape_rows(depths) -> list[list[int]]:
     """The plan rows of the full binary tree whose leaves, left to right,
     sit at the non-decreasing depths, with first = last = 0 for the counts:
     one stack pass in preorder.  A node's level-order offset is the count
-    of nodes at shallower depths plus its place within its own depth."""
+    of nodes at shallower depths plus its place within its own depth.
+    Depths of all zeros give the flat layout's forest of b roots."""
     leaves_at = [0] * (depths[-1] + 1)
     for depth in depths:
         leaves_at[depth] += 1
@@ -122,6 +122,18 @@ def _shape_rows(depths) -> list[list[int]]:
         if stack:  # a right child fails to its left sibling, right after the parent
             up, depth = stack.pop()
             fail, rows[up][4], depth = up + 1, len(rows), depth + 1
+        else:  # depths all 0, b roots: each sits at offset 0, failing to the last
+            fail, place[0] = len(rows) - 1, 0
+    return rows
+
+
+def _slice_rows(rows, counts) -> list[list[int]]:
+    """Give row r a slice of counts[r] base hash indices, consecutive down
+    every path; a root's starts after the row before it, the first at 1."""
+    for r, row in enumerate(rows):
+        above = row[6] if row[6] >= 0 else r - 1
+        row[0] = first = rows[above][1] + 1 if above >= 0 else 1
+        row[1] = first + counts[r] - 1
     return rows
 
 
@@ -257,7 +269,8 @@ def plan_bounds(rows) -> tuple[float, tuple[float, ...], tuple[int, ...]]:
 def _certify_rows(rows, epsilon: float, bump: bool = True) -> CertificationReport:
     """Check the analytic error bounds of tree plan rows against epsilon,
     raising leaf hash counts (a leaf row's last) until both hold, or
-    raising InvalidScheme at once if bump is false.
+    raising InvalidScheme at once if bump is false.  Only tree rows: a
+    bump climbs to a common ancestor, which a forest's roots lack.
 
     Each round finds the most violated constraint and bumps the leaf
     contributing its largest term, so the loop converges quickly (every

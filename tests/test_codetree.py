@@ -32,7 +32,6 @@ from bloommap.codetree import (
     tree_from_rows,
     tree_property_report,
 )
-from bloommap.core import _flat_rows, simple_hash_counts
 from bloommap.errors import InvalidScheme
 from bloommap.plan import huffman_depths, plan_bounds, plan_rows
 
@@ -153,7 +152,8 @@ def test_huffman_depths_equal_garsia_wachs_without_ties():
 def test_plan_rows_match_the_tree_path(scheme, weights, eps_bits, seed):
     # the rows built straight from the depths against the tree oracle:
     # tree_from_depths, level-order offsets, the scheme's counts and
-    # _tree_rows' preorder walk; the flat rows against their blocks
+    # _tree_rows' preorder walk; the flat rows against blocks built by
+    # hand from k_i = ceil(log2(1/eps) + log2(1/p_i))
     dist = new_distribution(weights, [f"v{i}" for i in range(len(weights))])
     eps = 2.0 ** -eps_bits
     custom = None
@@ -165,11 +165,12 @@ def test_plan_rows_match_the_tree_path(scheme, weights, eps_bits, seed):
         custom = {n.index: n.k + rnd.randint(0, 2) for n in tree.nodes}
     bmap = plan_tree_map(dist, eps, 0, scheme, n=len(weights), custom=custom)
     if scheme == "simple":
-        ks, start, expect = simple_hash_counts(dist, eps), 0, []
-        for i, k in enumerate(ks):
+        start, expect = 0, []
+        for i, p in enumerate(dist.probs):
+            k = eps_bits + math.ceil(math.log2(1.0 / p))
             expect.append([start + 1, start + k, 0, i, -1, i - 1, -1])
             start += k
-        assert bmap._plan == expect == _flat_rows(ks)
+        assert bmap._plan == expect == plan_rows(dist, eps, "simple")[0]
         return
     assign_hash_counts(tree, eps, scheme, custom=custom)
     assert bmap._plan == _tree_rows(tree) == plan_rows(dist, eps, scheme, custom)[0]
@@ -474,6 +475,39 @@ def test_plan_rows_take_custom_counts_as_stated():
     rows, report = plan_rows(d, eps, "custom", custom={n.index: n.k for n in nodes})
     assert report.bumped == ()
     assert rows == fast
+
+
+def _flat_weights(kind, b, rnd):
+    if kind == "dyadic":  # halve a random value until there are b
+        weights = [1.0]
+        while len(weights) < b:
+            w = weights.pop(rnd.randrange(len(weights)))
+            weights += [w / 2, w / 2]
+        return weights
+    if kind == "ties":
+        return [rnd.choice((1, 2, 3)) for _ in range(b)]
+    if kind == "skewed":
+        return [1.0] + [rnd.choice((1e-300, 1e-30, 1e-9)) for _ in range(b - 1)]
+    return [rnd.random() + 1e-12 for _ in range(b)]
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    kind=st.sampled_from(["dyadic", "random", "ties", "skewed"]),
+    b=st.integers(1, 1000),
+    eps=st.one_of(st.integers(1, 40).map(lambda e: 2.0 ** -e), st.floats(2.0 ** -40, 0.5)),
+    seed=st.integers(0, 2 ** 32 - 1),
+)
+def test_flat_plans_meet_their_bounds_unbumped(kind, b, eps, seed):
+    # plan_rows certifies no flat plan and a load trusts its counts, so
+    # 2^-k_i <= eps * p_i alone must hold both bounds within eps
+    weights = _flat_weights(kind, b, random.Random(seed))
+    dist = new_distribution(weights, [f"v{i}" for i in range(b)])
+    rows, report = plan_rows(dist, eps, "simple")
+    fp, mis, _ = plan_bounds(rows)
+    assert report is None
+    assert fp <= eps
+    assert max(mis) <= eps
 
 
 # -- geometry ---------------------------------------------------------

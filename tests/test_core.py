@@ -52,11 +52,10 @@ from bloommap.core import (
     _compile,
     _tally,
     simple_analytic_bounds,
-    simple_hash_counts,
 )
 from bloommap.harness import PMapSpec, build_variant, generate_pmap
 from bloommap.hashing import HashFamily
-from bloommap.plan import size_bit_array
+from bloommap.plan import plan_rows, size_bit_array
 
 LOG2E = math.log2(math.e)
 
@@ -187,14 +186,20 @@ def test_outcome_is_immutable():
 # -- flat hash counts and sizing --------------------------------------
 
 
+def _flat_counts(dist, epsilon):
+    rows, report = plan_rows(dist, epsilon, "simple")
+    assert report is None  # flat plans meet the budget by construction
+    return tuple(last - first + 1 for first, last, *_ in rows)
+
+
 def test_simple_hash_counts():
-    assert simple_hash_counts(SKEW, 2 ** -7) == (8, 9, 10, 10)
+    assert _flat_counts(SKEW, 2 ** -7) == (8, 9, 10, 10)
     half = new_distribution([1, 1], "xy")
-    assert simple_hash_counts(half, 2 ** -4) == (5, 5)
+    assert _flat_counts(half, 2 ** -4) == (5, 5)
     one = new_distribution([3], ["only"])
-    assert simple_hash_counts(one, 2 ** -4) == (4,)
+    assert _flat_counts(one, 2 ** -4) == (4,)
     with pytest.raises(InvalidEpsilon):
-        simple_hash_counts(SKEW, 0.0)
+        plan_rows(SKEW, 0.0, "simple")
 
 
 def test_simple_analytic_bounds():
@@ -243,7 +248,7 @@ def test_flat_sizing_follows_the_tallies():
     for dist, labels in ((harmonic, labels), (stated, [b"a", b"b"] * (n // 2))):
         pairs = [(f"key-{t}".encode(), label) for t, label in enumerate(labels)]
         bmap = build_simple(pairs, dist, 2 ** -7, seed=3)
-        ks = simple_hash_counts(dist, 2 ** -7)
+        ks = _flat_counts(dist, 2 ** -7)
         tallies = [labels.count(label) for label in dist.labels]
         assert bmap.m == math.ceil(LOG2E * sum(c * k for c, k in zip(tallies, ks)))
         assert abs(zero_fraction(bmap) - 0.5) <= 0.01

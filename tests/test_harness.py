@@ -120,6 +120,14 @@ def test_discard_groups_mixed_labels_by_value():
     assert got.bits.to_bytes() == want.bits.to_bytes()
 
 
+def test_discard_reads_any_iterable_once():
+    pairs = generate_pmap(PMapSpec(TERN, 100, seed=8))
+    want = build_with_discard(pairs, TERN, 2 ** -5, seed=8, variant="fast")
+    got = build_with_discard(iter(pairs), TERN, 2 ** -5, seed=8, variant="fast")
+    assert got.n == want.n
+    assert got.bits.to_bytes() == want.bits.to_bytes()
+
+
 def test_discard_fraction_validation():
     pairs = generate_pmap(PMapSpec(TERN, 50, seed=1))
     for bad in (-0.1, 1.0, 1.5):

@@ -2,7 +2,8 @@
 
 perfbench/spans.py wraps every (module, attribute path) in its TARGETS on
 the bloommap modules, and perfbench/run.py reads each value's path weight
-from tree.path_weight or simple_ks.  A renamed or deleted target leaves
+from tree.path_weight or simple_ks, the flat counts BloomMap reads off
+its plan rows.  A renamed or deleted target leaves
 the traced run's per-layer metrics without a value, so each name is
 checked here the way the tracer resolves it.
 """
@@ -14,7 +15,6 @@ import sys
 from pathlib import Path
 
 from bloommap import build_simple, build_tree, new_distribution
-from bloommap.core import simple_hash_counts
 
 SPANS = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
 LOG2E = math.log2(math.e)
@@ -46,7 +46,7 @@ def test_path_weights_are_readable_on_both_layouts():
     pairs = [(f"k{t}".encode(), SKEW.labels[t % 4]) for t in range(40)]
     tree_map = build_tree(pairs, SKEW, 2 ** -7, seed=1, scheme="standard")
     flat = build_simple(pairs, SKEW, 2 ** -7, seed=1)
-    assert flat.simple_ks == simple_hash_counts(SKEW, 2 ** -7)
+    assert flat.simple_ks == (8, 9, 10, 10)
     for bmap, t in ((tree_map, [tree_map.tree.path_weight(i) for i in range(SKEW.b)]),
                     (flat, flat.simple_ks)):
         assert bmap.m == math.ceil(LOG2E * sum(10 * ti for ti in t))
